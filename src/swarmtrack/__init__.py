@@ -25,28 +25,18 @@ from .analysis import (
     tracking_metrics,
 )
 from .controllers import (
-    ControlInput,
     ControllerGains,
     FeedforwardSolution,
     SpacingMode,
     build_A,
-    combined_control,
+    control_terms,
     project_spacing_to_kernel,
     saturate,
     solve_feedforward,
-    swarm_controls,
-    u_spacing_beacon,
-    u_velocity,
 )
 from .dynamics import (
     Snapshot,
-    SwarmState,
-    VehicleState,
-    centroid,
-    centroid_velocity,
-    heading_vector,
     rk4_unicycle_arrays,
-    step,
     wrap_angle,
     wrap_angles,
 )
@@ -68,13 +58,11 @@ from .netsim import (
     NeighborTable,
     NetworkConfig,
     counter_uniform,
-    schedule_broadcasts,
 )
 from .reference import (
     ConstantVelocityTarget,
     ConstantWeight,
     DistanceDependentWeight,
-    ReferenceDifferentiator,
     ReferenceSignal,
     TurningTarget,
     WaypointTarget,
@@ -92,7 +80,6 @@ __all__ = [
     "ConstantRef",
     "ConstantVelocityTarget",
     "ConstantWeight",
-    "ControlInput",
     "ControllerGains",
     "DistanceDependentWeight",
     "EquilibriumClass",
@@ -103,7 +90,6 @@ __all__ = [
     "InfeasibleScenario",
     "NeighborTable",
     "NetworkConfig",
-    "ReferenceDifferentiator",
     "ReferenceSignal",
     "RunLog",
     "ScenarioConfig",
@@ -112,21 +98,16 @@ __all__ = [
     "Snapshot",
     "SpacingMode",
     "StabilityVerdict",
-    "SwarmState",
     "TargetTracking",
     "TurningRef",
     "TurningTarget",
-    "VehicleState",
     "WaypointTarget",
     "build_A",
     "build_equilibrium",
-    "centroid",
-    "centroid_velocity",
     "check_feasibility",
     "classify_equilibrium",
-    "combined_control",
+    "control_terms",
     "counter_uniform",
-    "heading_vector",
     "hessian",
     "lyapunov_V",
     "order_parameter",
@@ -139,15 +120,10 @@ __all__ = [
     "run",
     "run_oracle_centroid",
     "saturate",
-    "schedule_broadcasts",
     "simulate_phase_flow",
     "solve_feedforward",
-    "step",
-    "swarm_controls",
     "target_state",
     "tracking_metrics",
-    "u_spacing_beacon",
-    "u_velocity",
     "wrap_angle",
     "wrap_angles",
 ]

@@ -58,24 +58,24 @@ def csv_columns(n: int) -> list[str]:
     return cols
 
 
-def _log_matrix(log: RunLog) -> np.ndarray:
-    n = log.n
-    blocks = [log.t[:, None]]
-    for k in range(n):
-        blocks.append(np.column_stack((
-            log.x[:, k], log.y[:, k], log.theta[:, k], log.u_vel[:, k],
-            log.u_h[:, k], log.u_spc[:, k], log.u_total[:, k],
-            log.dist_to_centroid[:, k],
-        )))
-    blocks.append(np.column_stack((
-        log.centroid, log.centroid_vel, log.ref_pos, log.ref_vel,
-        log.target_pos, log.target_vel,
-        log.V[:, None], log.beta_norm[:, None], log.alpha_norm[:, None],
-        log.net_sent[:, None], log.net_decisions[:, None],
-        log.net_delivered[:, None], log.net_dropped[:, None],
-        log.stale_count[:, None],
-    )))
-    return np.column_stack(blocks)
+def _log_columns(log: RunLog) -> dict:
+    """The CSV columns of a log in file order, as views of its arrays.
+
+    The integer counters are converted to floats, the values the CSV holds.
+    """
+    arrays = [log.t]
+    for k in range(log.n):
+        arrays += [log.x[:, k], log.y[:, k], log.theta[:, k], log.u_vel[:, k],
+                   log.u_h[:, k], log.u_spc[:, k], log.u_total[:, k],
+                   log.dist_to_centroid[:, k]]
+    for pair in (log.centroid, log.centroid_vel, log.ref_pos, log.ref_vel,
+                 log.target_pos, log.target_vel):
+        arrays += [pair[:, 0], pair[:, 1]]
+    arrays += [log.V, log.beta_norm, log.alpha_norm]
+    arrays += [c.astype(float) for c in (log.net_sent, log.net_decisions,
+                                         log.net_delivered, log.net_dropped,
+                                         log.stale_count)]
+    return dict(zip(csv_columns(log.n), arrays))
 
 
 def write_trajectory_csv(log: RunLog, path):
@@ -95,7 +95,8 @@ def write_trajectory_csv(log: RunLog, path):
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(comments)
-        np.savetxt(fh, _log_matrix(log), fmt=_FLOAT_FMT, delimiter=",",
+        np.savetxt(fh, np.column_stack(list(_log_columns(log).values())),
+                   fmt=_FLOAT_FMT, delimiter=",",
                    header=header, comments="")
 
 
@@ -104,18 +105,15 @@ def read_trajectory_csv(path):
     path = Path(path)
     meta: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body_start = 0
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        body_start += 1
-        key, _, value = line[1:].partition("=")
-        meta[key.strip()] = value.strip()
-    if body_start >= len(lines):
-        raise ValueError(f"{path}: no header row")
-    names = lines[body_start].split(",")
-    data = np.loadtxt(lines[body_start + 1:], delimiter=",", ndmin=2)
+        line = fh.readline()
+        while line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip()
+            line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: no header row")
+        names = line.rstrip("\r\n").split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: {len(names)} header fields but {data.shape[1]} columns")
     return {name: data[:, i] for i, name in enumerate(names)}, meta
@@ -201,9 +199,6 @@ def summarize(log: RunLog, config: ScenarioConfig | None = None,
     "config" group carries provenance (speeds, seed, feasibility verdict,
     network settings) copied from the run setup.
     """
-    mat = _log_matrix(log)
-    names = csv_columns(log.n)
-    cols = {name: mat[:, i] for i, name in enumerate(names)}
     summary = {
         "config": {
             "n_agents": log.n,
@@ -212,7 +207,7 @@ def summarize(log: RunLog, config: ScenarioConfig | None = None,
             "seed": log.seed,
             "aborted": log.aborted,
         },
-        "metrics": summarize_columns(cols, log.dt, transient_time),
+        "metrics": summarize_columns(_log_columns(log), log.dt, transient_time),
     }
     report = log.meta.get("feasibility")
     if report is not None:

@@ -12,6 +12,8 @@ reference signal:
   disturb the velocity-error dynamics. When the reference point moves, the
   beacon is led along the point's steady velocity so that the orbits centre
   on the point instead of trailing it (see `beacon_lead`).
+
+`control_terms` evaluates all three for every agent of a snapshot at once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot, VehicleState, heading_vector, rotate90, scalar_product
+from .dynamics import Snapshot
 from .reference import ReferenceSignal
 
 
@@ -58,25 +60,6 @@ class ControllerGains:
 
 
 @dataclass(frozen=True)
-class ControlInput:
-    """Per-agent heading-rate command and its decomposition (all rad/s)."""
-
-    u_velocity: float
-    h_feedforward: float
-    u_spacing: float
-    total: float
-
-    @classmethod
-    def combine(cls, u_velocity, h_feedforward, u_spacing):
-        return cls(
-            u_velocity=float(u_velocity),
-            h_feedforward=float(h_feedforward),
-            u_spacing=float(u_spacing),
-            total=float(u_velocity) + float(h_feedforward) + float(u_spacing),
-        )
-
-
-@dataclass(frozen=True)
 class FeedforwardSolution:
     """Minimum-norm solution of A h = b, or the zero fallback when A is rank-deficient."""
 
@@ -85,22 +68,13 @@ class FeedforwardSolution:
     rank_ok: bool
 
 
-def u_velocity(snapshot: Snapshot, k: int, ref_velocity, gamma: float) -> float:
-    """Velocity-tracking heading rate for agent k (0-based index into the snapshot).
+def _u_velocity(snapshot: Snapshot, ref_velocity, gamma: float) -> np.ndarray:
+    """Velocity-tracking heading rate of every agent in the snapshot.
 
     u_k = -gamma * < rhat_dot - ref_velocity, i v_k e^{i th_k} >, the gradient
     flow of V = 0.5 ||rhat_dot - ref_velocity||^2, which yields
     Vdot = -(gamma/n) * sum_k <.,.>^2 along the closed loop.
     """
-    err = snapshot.centroid_velocity() - np.asarray(ref_velocity, dtype=float)
-    v, th = snapshot.speeds[k], snapshot.headings[k]
-    # <err, i v e^{i th}> = err_x * (-v sin th) + err_y * (v cos th)
-    bracket = -err[0] * v * math.sin(th) + err[1] * v * math.cos(th)
-    return -gamma * bracket
-
-
-def _u_velocity_all(snapshot: Snapshot, ref_velocity, gamma: float) -> np.ndarray:
-    """Vectorized u_velocity over all agents (identical arithmetic per agent)."""
     err = snapshot.centroid_velocity() - np.asarray(ref_velocity, dtype=float)
     v, th = snapshot.speeds, snapshot.headings
     bracket = -err[0] * v * np.sin(th) + err[1] * v * np.cos(th)
@@ -146,22 +120,19 @@ def _gram_solve(A: np.ndarray, rhs: np.ndarray):
     return x, smin, True
 
 
-def feedforward_rhs(ref: ReferenceSignal, include_accel: bool = True) -> np.ndarray:
+def feedforward_rhs(ref: ReferenceSignal) -> np.ndarray:
     """Right-hand side b of the feedforward system.
 
-    The turn-rate part is kappa_ref * i * ref_velocity; with include_accel the
-    speed-rate part a_ref * e^{i theta_ref} is added.
+    The turn-rate part kappa_ref * i * ref_velocity plus the speed-rate part
+    a_ref * e^{i theta_ref}.
     """
     c, s = math.cos(ref.theta_ref), math.sin(ref.theta_ref)
     b = np.array([-ref.v_ref * s * ref.kappa_ref, ref.v_ref * c * ref.kappa_ref])
-    if include_accel:
-        b += ref.a_ref * np.array([c, s])
+    b += ref.a_ref * np.array([c, s])
     return b
 
 
-def solve_feedforward(
-    snapshot: Snapshot, ref: ReferenceSignal, include_accel: bool = True
-) -> FeedforwardSolution:
+def solve_feedforward(snapshot: Snapshot, ref: ReferenceSignal) -> FeedforwardSolution:
     """Minimum-2-norm h with A h = b.
 
     h = A^T (A A^T)^{-1} b via the 2x2 normal equations. When the smaller
@@ -171,7 +142,7 @@ def solve_feedforward(
     loop escapes on its own.
     """
     A = build_A(snapshot)
-    b = feedforward_rhs(ref, include_accel)
+    b = feedforward_rhs(ref)
     x, _, ok = _gram_solve(A, b)
     if not ok:
         h = np.zeros(snapshot.n)
@@ -195,27 +166,17 @@ def beacon_lead(speeds, gamma: float):
     return (2.0 / gamma) / (speeds * speeds)
 
 
-def u_spacing_beacon(
-    state_k: VehicleState, ref_position, gains: ControllerGains, beacon_velocity=None
-) -> float:
-    """Beacon spacing law for one vehicle.
-
-    u = -(omega0 + gamma * omega0 * <r_k - b_k, v_k e^{i th_k}>) with the
-    beacon b_k = r_ref + beacon_lead(v_k, gamma) * beacon_velocity (b_k = r_ref when
-    beacon_velocity is None). Alone it settles the vehicle onto a clockwise
-    orbit of bounded radius about the reference point, also while the point
-    moves at beacon_velocity.
-    """
-    rel = np.asarray(state_k.position, dtype=float) - np.asarray(ref_position, dtype=float)
-    if beacon_velocity is not None:
-        rel = rel - beacon_lead(state_k.speed, gains.gamma) * np.asarray(beacon_velocity, dtype=float)
-    return -(gains.omega0 + gains.gamma * gains.omega0 * scalar_product(rel, heading_vector(state_k)))
-
-
-def _spacing_raw_all(
+def _spacing_raw(
     snapshot: Snapshot, ref_position, gains: ControllerGains, beacon_velocity=None
 ) -> np.ndarray:
-    """Vectorized raw beacon term for every agent in the snapshot."""
+    """Beacon spacing law for every agent in the snapshot.
+
+    u_k = -(omega0 + gamma * omega0 * <r_k - b_k, v_k e^{i th_k}>) with the
+    beacon b_k = r_ref + beacon_lead(v_k, gamma) * beacon_velocity (b_k = r_ref
+    when beacon_velocity is None). Alone it settles each vehicle onto a
+    clockwise orbit of bounded radius about the reference point, also while
+    the point moves at beacon_velocity.
+    """
     rel = snapshot.positions - np.asarray(ref_position, dtype=float)
     if beacon_velocity is not None:
         rel -= beacon_lead(snapshot.speeds, gains.gamma)[:, None] * beacon_velocity
@@ -237,16 +198,13 @@ def project_spacing_to_kernel(u_spacing: np.ndarray, A: np.ndarray):
     return u_spacing - A.T @ x, True
 
 
-def control_terms(
-    snapshot: Snapshot, ref: ReferenceSignal, gains: ControllerGains, mode: SpacingMode | None = None
-):
+def control_terms(snapshot: Snapshot, ref: ReferenceSignal, gains: ControllerGains):
     """(u_vel, h, u_spc): the three control terms for every agent, as arrays.
 
     Computes the shared pieces (centroid velocity, A, the projected spacing
     vector) once. The total command is u_vel + h + u_spc.
     """
-    mode = gains.spacing_mode if mode is None else mode
-    u_vel = _u_velocity_all(snapshot, ref.velocity, gains.gamma)
+    u_vel = _u_velocity(snapshot, ref.velocity, gains.gamma)
 
     A = None
     h = None
@@ -259,35 +217,14 @@ def control_terms(
     if h is None:
         h = np.zeros(snapshot.n)
 
+    mode = gains.spacing_mode
     if mode is SpacingMode.OFF:
         u_spc = np.zeros(snapshot.n)
     else:
-        u_spc = _spacing_raw_all(snapshot, ref.position, gains, ref.beacon_velocity)
+        u_spc = _spacing_raw(snapshot, ref.position, gains, ref.beacon_velocity)
         if mode is SpacingMode.BEACON_PROJECTED:
             u_spc, _ = project_spacing_to_kernel(u_spc, build_A(snapshot) if A is None else A)
     return u_vel, h, u_spc
-
-
-def swarm_controls(snapshot: Snapshot, ref: ReferenceSignal, gains: ControllerGains, mode: SpacingMode | None = None):
-    """Full control decomposition for every agent in one snapshot.
-
-    Returns a list of ControlInput in agent order (see `control_terms`).
-    """
-    u_vel, h, u_spc = control_terms(snapshot, ref, gains, mode)
-    return [
-        ControlInput.combine(u_vel[k], h[k], u_spc[k]) for k in range(snapshot.n)
-    ]
-
-
-def combined_control(
-    snapshot: Snapshot,
-    k: int,
-    ref: ReferenceSignal,
-    gains: ControllerGains,
-    mode: SpacingMode | None = None,
-) -> ControlInput:
-    """ControlInput for agent k (0-based): velocity + feedforward + spacing."""
-    return swarm_controls(snapshot, ref, gains, mode)[k]
 
 
 def saturate(total: float, u_max: float | None) -> float:

@@ -1,4 +1,4 @@
-"""Planar vector algebra, vehicle/swarm state types, and the fixed-step integrator.
+"""Planar vector helpers, the controller's snapshot view, and the fixed-step integrator.
 
 Positions and velocities live in the plane and are treated as real 2-vectors;
 where the math is naturally complex (headings as phases e^{i theta}), the
@@ -26,23 +26,6 @@ def norm(a) -> float:
     return float(math.hypot(a[0], a[1]))
 
 
-def scalar_product(a, b) -> float:
-    """Real scalar product of two planar vectors.
-
-    For polar inputs a = v_k e^{i th_k}, b = v_j e^{i th_j} this equals
-    v_k * v_j * cos(th_j - th_k).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(a[0] * b[0] + a[1] * b[1])
-
-
-def rotate90(a) -> np.ndarray:
-    """Rotate a planar vector by +90 degrees (multiplication by i)."""
-    a = np.asarray(a, dtype=float)
-    return np.array([-a[1], a[0]])
-
-
 def wrap_angle(theta: float) -> float:
     """Normalize an angle to (-pi, pi].
 
@@ -61,85 +44,6 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     r = theta - TWO_PI * np.round(theta / TWO_PI)
     r = np.where(r <= -math.pi, r + TWO_PI, r)
     return r
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """One constant-speed unicycle: planar position, heading, fixed speed.
-
-    Parameters
-    ----------
-    id : int
-        Agent index, 1-based and contiguous within a swarm.
-    position : array_like, shape (2,)
-        Position in meters.
-    heading : float
-        Velocity heading in radians; normalized to (-pi, pi] on construction.
-    speed : float
-        Cruising speed in m/s, strictly positive and immutable.
-    """
-
-    id: int
-    position: np.ndarray
-    heading: float
-    speed: float
-
-    def __post_init__(self):
-        if self.speed <= 0.0:
-            raise ValueError(f"agent {self.id}: speed must be positive, got {self.speed}")
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).copy())
-        if self.position.shape != (2,):
-            raise ValueError(f"agent {self.id}: position must be a 2-vector")
-        object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
-        object.__setattr__(self, "speed", float(self.speed))
-
-
-def heading_vector(state: VehicleState) -> np.ndarray:
-    """Instantaneous velocity v_k e^{i th_k} as a planar vector."""
-    return np.array(
-        [state.speed * math.cos(state.heading), state.speed * math.sin(state.heading)]
-    )
-
-
-@dataclass(frozen=True)
-class SwarmState:
-    """Ordered collection of vehicles plus simulation time."""
-
-    vehicles: tuple
-    time: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "vehicles", tuple(self.vehicles))
-        ids = [v.id for v in self.vehicles]
-        if len(self.vehicles) < 1:
-            raise ValueError("a swarm needs at least one vehicle")
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError(f"agent ids must be 1..n contiguous, got {ids}")
-
-    @property
-    def n(self) -> int:
-        return len(self.vehicles)
-
-    @property
-    def speeds(self) -> np.ndarray:
-        return np.array([v.speed for v in self.vehicles])
-
-    @property
-    def headings(self) -> np.ndarray:
-        return np.array([v.heading for v in self.vehicles])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([v.position for v in self.vehicles])
-
-    def snapshot(self) -> "Snapshot":
-        """Ground-truth snapshot of the whole swarm."""
-        return Snapshot(
-            speeds=self.speeds,
-            headings=self.headings,
-            positions=self.positions,
-            stale=np.zeros(self.n, dtype=bool),
-        )
 
 
 @dataclass(frozen=True)
@@ -188,16 +92,6 @@ class Snapshot:
         )
 
 
-def centroid(swarm: SwarmState) -> np.ndarray:
-    """Arithmetic mean of vehicle positions."""
-    return swarm.positions.mean(axis=0)
-
-
-def centroid_velocity(swarm: SwarmState) -> np.ndarray:
-    """Mean of heading vectors: the centroid's velocity."""
-    return swarm.snapshot().centroid_velocity()
-
-
 def rk4_unicycle_arrays(x, y, th, speeds, u, dt):
     """One classical 4th-order step of the unicycle kinematics, arrays in/out.
 
@@ -217,27 +111,3 @@ def rk4_unicycle_arrays(x, y, th, speeds, u, dt):
     x_new = x + sixth * (k1x + 4.0 * k2x + k4x)
     y_new = y + sixth * (k1y + 4.0 * k2y + k4y)
     return x_new, y_new, wrap_angles(th_end)
-
-
-def step(swarm: SwarmState, controls, dt: float) -> SwarmState:
-    """Advance the swarm by one fixed step under heading-rate commands.
-
-    Integrates xdot = v cos th, ydot = v sin th, thdot = u_k with the classical
-    4th-order scheme, u_k held constant over the step. Headings are
-    renormalized to (-pi, pi]; speeds never change.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    u = np.asarray(controls, dtype=float)
-    if u.shape != (swarm.n,):
-        raise ValueError(f"expected {swarm.n} controls, got shape {u.shape}")
-    pos = swarm.positions
-    x, y, th = pos[:, 0], pos[:, 1], swarm.headings
-    # u == 0 must preserve heading bit-exactly; th + dt*0 == th and the wrap
-    # is the identity on (-pi, pi], so no special casing is needed.
-    x2, y2, th2 = rk4_unicycle_arrays(x, y, th, swarm.speeds, u, dt)
-    vehicles = tuple(
-        VehicleState(id=v.id, position=(x2[i], y2[i]), heading=th2[i], speed=v.speed)
-        for i, v in enumerate(swarm.vehicles)
-    )
-    return SwarmState(vehicles=vehicles, time=swarm.time + dt)

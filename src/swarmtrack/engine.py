@@ -10,12 +10,12 @@ want is appended to a fixed-schema log, one record per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .analysis import check_feasibility, FeasibilityReport
-from .controllers import ControllerGains, SpacingMode, control_terms, saturate
+from .controllers import ControllerGains, control_terms, saturate
 from .dynamics import Snapshot, rk4_unicycle_arrays, vec2, wrap_angle
 from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
@@ -232,13 +232,10 @@ def _alloc_log(rows: int, n: int, speeds, dt: float, seed: int) -> RunLog:
 
 
 def _truncate_log(log: RunLog, rows: int) -> RunLog:
-    for name in (
-        "t", "x", "y", "theta", "u_vel", "u_h", "u_spc", "u_total",
-        "dist_to_centroid", "centroid", "centroid_vel", "ref_pos", "ref_vel",
-        "target_pos", "target_vel", "V", "beta_norm", "alpha_norm",
-        "net_sent", "net_decisions", "net_delivered", "net_dropped", "stale_count",
-    ):
-        setattr(log, name, getattr(log, name)[:rows])
+    for f in fields(RunLog):
+        value = getattr(log, f.name)
+        if isinstance(value, np.ndarray) and f.name != "speeds":  # speeds: one per agent
+            setattr(log, f.name, value[:rows])
     return log
 
 
@@ -289,10 +286,9 @@ class _RefStream:
 class _ClosedFormRef:
     """ConstantRef / TurningRef evaluated analytically each step."""
 
-    def __init__(self, mode: ReferenceMode, position0, dt: float):
+    def __init__(self, mode: ReferenceMode, position0):
         self.mode = mode
         self.p0 = np.asarray(position0, dtype=float).copy()
-        self.dt = dt
 
     def signal(self, t: float) -> ReferenceSignal:
         if isinstance(self.mode, ConstantRef):
@@ -345,7 +341,7 @@ def run(config: ScenarioConfig) -> RunLog:
     centroid0 = vec2(x.mean(), y.mean())
 
     tracking = isinstance(config.reference_mode, TargetTracking)
-    closed_ref = None if tracking else _ClosedFormRef(config.reference_mode, centroid0, dt)
+    closed_ref = None if tracking else _ClosedFormRef(config.reference_mode, centroid0)
     obs_stream = _RefStream(centroid0) if tracking else None
 
     net = None

@@ -138,17 +138,6 @@ def source_phases(config: NetworkConfig, n_agents: int) -> dict:
     return phases
 
 
-def schedule_broadcasts(t: float, dt: float, config: NetworkConfig, n_agents: int):
-    """(sender, nominal instant) pairs whose send instant falls in [t, t+dt)."""
-    phases = source_phases(config, n_agents)
-    out = []
-    for sender, phase in sorted(phases.items()):
-        period = 1.0 / (config.target_rate if sender == TARGET_ID else config.agent_rate)
-        for j in emission_indices(phase, period, t, t + dt):
-            out.append((sender, phase + j * period))
-    return out
-
-
 @dataclass
 class NetworkStats:
     sent: int = 0
@@ -244,16 +233,49 @@ class BroadcastNetwork:
                 for arrival, _, _, receiver, msg in sorted(due, key=lambda p: (p[0], p[1], p[2])):
                     self.tables[receiver].update(msg, arrival)
 
-    def snapshot_for_agent(self, k: int, own_position, own_heading, speeds, t: float):
-        """Controller snapshot for agent k: own true state + table entries."""
-        return snapshot_for_agent(
-            self.tables[k],
-            own_position,
-            own_heading,
-            speeds,
-            t,
-            extrapolate=self.config.extrapolate,
-            staleness_budget=self.config.staleness_budget,
+    def _entry_view(self, entry: TableEntry, t: float):
+        """(position, stale) of a table entry as seen at time t.
+
+        The position is the last received one, dead-reckoned along the
+        received velocity when extrapolation is on. The entry is stale when it
+        is older than the staleness budget.
+        """
+        cfg = self.config
+        age = t - entry.receive_time
+        pos = entry.position
+        if cfg.extrapolate:
+            pos = pos + entry.velocity * age
+        return pos, cfg.staleness_budget is not None and age > cfg.staleness_budget
+
+    def snapshot_for_agent(self, k: int, own_position, own_heading, speeds, t: float) -> Snapshot:
+        """Build the n-agent controller snapshot from agent k's table.
+
+        The owner contributes its true local state. Neighbors contribute their
+        last-received position and velocity; the velocity is decomposed back
+        into (speed, heading) with the speed taken from static scenario
+        knowledge (cruising speeds are constants known to the whole team).
+        Entries older than the staleness budget are flagged.
+        """
+        entries = self.tables[k].entries
+        n = len(speeds)
+        pos = np.empty((n, 2))
+        headings = np.empty(n)
+        stale = np.zeros(n, dtype=bool)
+        for a in range(1, n + 1):
+            if a == k:
+                pos[a - 1] = own_position
+                headings[a - 1] = own_heading
+                continue
+            entry = entries[a]
+            pos[a - 1], is_stale = self._entry_view(entry, t)
+            if is_stale:
+                stale[a - 1] = True
+            headings[a - 1] = math.atan2(entry.velocity[1], entry.velocity[0])
+        return Snapshot(
+            speeds=np.asarray(speeds, dtype=float),
+            headings=headings,
+            positions=pos,
+            stale=stale,
         )
 
     def target_estimate(self, k: int, t: float):
@@ -261,51 +283,5 @@ class BroadcastNetwork:
         entry = self.tables[k].entries.get(TARGET_ID)
         if entry is None:
             return None, None, False
-        pos = entry.position
-        if self.config.extrapolate:
-            pos = pos + entry.velocity * (t - entry.receive_time)
-        budget = self.config.staleness_budget
-        stale = budget is not None and (t - entry.receive_time) > budget
+        pos, stale = self._entry_view(entry, t)
         return pos.copy(), entry.velocity.copy(), stale
-
-
-def snapshot_for_agent(
-    table: NeighborTable,
-    own_position,
-    own_heading,
-    speeds,
-    t: float,
-    extrapolate: bool = False,
-    staleness_budget: float | None = None,
-) -> Snapshot:
-    """Build the n-agent controller snapshot from one agent's table.
-
-    The owner contributes its true local state. Neighbors contribute their
-    last-received position and velocity; the velocity is decomposed back into
-    (speed, heading) with the speed taken from static scenario knowledge
-    (cruising speeds are constants known to the whole team). Entries older
-    than the staleness budget are flagged.
-    """
-    n = len(speeds)
-    pos = np.empty((n, 2))
-    headings = np.empty(n)
-    stale = np.zeros(n, dtype=bool)
-    for a in range(1, n + 1):
-        if a == table.owner:
-            pos[a - 1] = own_position
-            headings[a - 1] = own_heading
-            continue
-        entry = table.entries[a]
-        p = entry.position
-        if extrapolate:
-            p = p + entry.velocity * (t - entry.receive_time)
-        pos[a - 1] = p
-        headings[a - 1] = math.atan2(entry.velocity[1], entry.velocity[0])
-        if staleness_budget is not None and (t - entry.receive_time) > staleness_budget:
-            stale[a - 1] = True
-    return Snapshot(
-        speeds=np.asarray(speeds, dtype=float),
-        headings=headings,
-        positions=pos,
-        stale=stale,
-    )

@@ -3,10 +3,8 @@
 The outer control loop steers the group centroid by publishing a reference
 velocity: the target's own velocity plus a weighted pull toward the target
 position. Feedforward terms for time-varying references need the reference's
-turn rate and speed rate. The engine takes them from the closed-form
-derivative in `reference_kinematics`. `ReferenceDifferentiator` and
-`reference_derivatives` are not used by the engine; they are kept as public
-helpers for sampled velocities.
+turn rate and speed rate, taken from the closed-form derivative in
+`reference_kinematics`.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import norm, vec2, wrap_angle
+from .dynamics import norm, vec2
 
 
 # --------------------------------------------------------------------------
@@ -250,11 +248,11 @@ class ReferenceSignal:
         )
 
 
-def polar_velocity(velocity, fallback_theta: float = 0.0):
-    """(speed, heading) of a planar velocity; heading falls back when at rest."""
+def polar_velocity(velocity):
+    """(speed, heading) of a planar velocity; the heading is 0 at rest."""
     v = norm(velocity)
     if v == 0.0:
-        return 0.0, fallback_theta
+        return 0.0, 0.0
     return v, math.atan2(velocity[1], velocity[0])
 
 
@@ -307,49 +305,3 @@ def reference_rates(velocity, derivative):
     if v2 == 0.0:
         return 0.0, 0.0
     return (vx * dvy - vy * dvx) / v2, (vx * dvx + vy * dvy) / math.sqrt(v2)
-
-
-class ReferenceDifferentiator:
-    """Backward finite differences of a sampled reference velocity.
-
-    Feeding one velocity sample per step yields (kappa_ref, a_ref) estimates:
-    kappa from the wrapped heading increment, a from the speed increment. The
-    first sample returns (0, 0); a zero-speed sample holds the previous
-    heading so kappa stays defined. A jump in the samples becomes a one-step
-    impulse. The engine does not use this class: it takes the closed form from
-    `reference_kinematics` and `reference_rates`. It is kept as a public helper
-    for sampled velocities.
-    """
-
-    def __init__(self, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self.dt = dt
-        self._prev = None  # (speed, heading)
-
-    @property
-    def polar(self):
-        """(speed, heading) of the most recent sample, or None before any."""
-        return self._prev
-
-    def update(self, velocity):
-        v, th = polar_velocity(
-            velocity, fallback_theta=self._prev[1] if self._prev else 0.0
-        )
-        if self._prev is None:
-            self._prev = (v, th)
-            return 0.0, 0.0
-        v0, th0 = self._prev
-        kappa = wrap_angle(th - th0) / self.dt
-        a = (v - v0) / self.dt
-        self._prev = (v, th)
-        return kappa, a
-
-
-def reference_derivatives(samples, dt: float):
-    """(kappa_ref, a_ref) from the last two of a sequence of velocity samples."""
-    diff = ReferenceDifferentiator(dt)
-    out = (0.0, 0.0)
-    for s in samples:
-        out = diff.update(s)
-    return out

@@ -300,13 +300,11 @@ def _build_network(sec: _Section | None, seed: int):
     if sec is None:
         return None
     mode = sec.require("mode").value.strip().lower()
-    if mode == "ground_truth":
-        sec.check_no_unknown()
-        return None
-    if mode != "broadcast":
+    if mode not in ("ground_truth", "broadcast"):
         raise ScenarioError(
             f"unknown network mode '{mode}' (ground_truth | broadcast)", sec.require("mode").line
         )
+    # Both modes take the broadcast keys, so a sweep can switch the mode alone.
     def fget(key, default):
         e = sec.get(key)
         return _parse_float(e, key) if e else default
@@ -321,7 +319,7 @@ def _build_network(sec: _Section | None, seed: int):
     staleness = _parse_float(sb, "staleness_budget") if sb else None
     sec.check_no_unknown()
     try:
-        return NetworkConfig(
+        config = NetworkConfig(
             agent_rate=agent_rate,
             target_rate=target_rate,
             loss_probability=loss,
@@ -333,6 +331,7 @@ def _build_network(sec: _Section | None, seed: int):
         )
     except ValueError as exc:
         raise ScenarioError(str(exc), sec.line) from None
+    return config if mode == "broadcast" else None
 
 
 def parse_scenario_text(text: str, seed_override: int | None = None,

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import random_snapshot, rotate90, scalar_product, u_velocity_real_form
 from test_analysis import assert_oracle_agreement, draw_equilibrium_specs
-from test_controllers import random_snapshot, u_velocity_real_form
 from test_engine import THREE, logs_equal
 
 from swarmtrack.analysis import (
@@ -28,11 +28,11 @@ from swarmtrack.controllers import (
     ControllerGains,
     SpacingMode,
     build_A,
+    control_terms,
     feedforward_rhs,
     solve_feedforward,
-    u_velocity,
 )
-from swarmtrack.dynamics import Snapshot, norm, rotate90, scalar_product
+from swarmtrack.dynamics import Snapshot, norm
 from swarmtrack.engine import (
     AgentInit,
     ConstantRef,
@@ -294,8 +294,9 @@ def test_algebraic_identities_hold_at_1e_12():
         v_ref = float(rng.uniform(0.0, 2.0))
         th_ref = float(rng.uniform(-math.pi, math.pi))
         gamma = float(rng.uniform(0.1, 1.0))
-        ref = np.array([v_ref * math.cos(th_ref), v_ref * math.sin(th_ref)])
-        u = u_velocity(snap, k, ref, gamma)
+        gains = ControllerGains(gamma=gamma)
+        ref = ReferenceSignal(position=(0.0, 0.0), v_ref=v_ref, theta_ref=th_ref)
+        u = control_terms(snap, ref, gains)[0][k]
         # complex-product form == expanded heading-difference form
         assert abs(u - u_velocity_real_form(snap, k, v_ref, th_ref, gamma)) <= 1e-12
 
@@ -308,7 +309,8 @@ def test_algebraic_identities_hold_at_1e_12():
             headings=snap.headings + phi,
             positions=snap.positions @ R.T,
         )
-        assert abs(u_velocity(rotated, k, R @ ref, gamma) - u) <= 1e-12
+        ref_rotated = ReferenceSignal(position=(0.0, 0.0), v_ref=v_ref, theta_ref=th_ref + phi)
+        assert abs(control_terms(rotated, ref_rotated, gains)[0][k] - u) <= 1e-12
 
 
 # --------------------------------------------------------------------------

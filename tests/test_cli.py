@@ -515,6 +515,15 @@ def test_bundled_scenario_text_parses():
     assert config.duration == 900.0
 
 
+def test_bundled_scenario_sweeps_network_mode(tmp_path):
+    text = override_scenario_text(bundled_scenario_text(), "sim", "duration", "10")
+    params = [("network", "mode", ["ground_truth", "broadcast"])]
+    rows = run_sweep(text, params, tmp_path, base_seed=7)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert rows[0]["delivered_ratio"] is None  # ground truth sends nothing
+    assert rows[1]["delivered_ratio"] > 0.9  # broadcast at 5% loss
+
+
 def test_replay_parser_wiring():
     args = cli.build_parser().parse_args(["replay-experiment", "--out", "x", "--seed", "5"])
     assert args.out == "x" and args.seed == 5

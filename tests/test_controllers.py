@@ -7,47 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_snapshot, u_spacing_beacon, u_velocity, u_velocity_real_form
 from swarmtrack.controllers import (
-    ControlInput,
     ControllerGains,
     SpacingMode,
     beacon_lead,
     build_A,
-    combined_control,
     control_terms,
     feedforward_rhs,
     project_spacing_to_kernel,
     saturate,
     solve_feedforward,
-    swarm_controls,
-    u_spacing_beacon,
-    u_velocity,
 )
-from swarmtrack.dynamics import (
-    Snapshot,
-    SwarmState,
-    VehicleState,
-    rk4_unicycle_arrays,
-    step,
-    wrap_angle,
-)
+from swarmtrack.dynamics import Snapshot, rk4_unicycle_arrays, wrap_angle
 from swarmtrack.reference import ReferenceSignal
 
 
-def random_snapshot(rng, n):
-    return Snapshot(
-        speeds=rng.uniform(0.5, 3.0, n),
-        headings=rng.uniform(-math.pi, math.pi, n),
-        positions=rng.uniform(-20.0, 20.0, (n, 2)),
-    )
-
-
-def u_velocity_real_form(snap, k, v_ref, th_ref, gamma):
-    """Same law written out in sines of heading differences."""
-    v, th = snap.speeds, snap.headings
-    n = snap.n
-    pair = sum(v[k] * v[j] * math.sin(th[j] - th[k]) for j in range(n))
-    return -gamma / n * pair + gamma * v[k] * v_ref * math.sin(th_ref - th[k])
+def total_command(snap, ref, gains):
+    """u_vel + h + u_spc for every agent: the command the engine applies."""
+    u_vel, h, u_spc = control_terms(snap, ref, gains)
+    return u_vel + h + u_spc
 
 
 # --------------------------------------------------------------------------
@@ -56,15 +35,18 @@ def u_velocity_real_form(snap, k, v_ref, th_ref, gamma):
 
 def test_u_velocity_zero_error():
     snap = Snapshot(speeds=[1.0, 2.0], headings=[0.0, 0.0], positions=np.zeros((2, 2)))
-    ref = snap.centroid_velocity()
-    for k in range(2):
-        assert u_velocity(snap, k, ref, gamma=0.7) == 0.0
+    vx, vy = snap.centroid_velocity()
+    ref = ReferenceSignal(position=(0, 0), v_ref=math.hypot(vx, vy), theta_ref=math.atan2(vy, vx))
+    np.testing.assert_array_equal(ref.velocity, snap.centroid_velocity())
+    u_vel, _, _ = control_terms(snap, ref, ControllerGains(gamma=0.7))
+    assert (u_vel == 0.0).all()
 
 
 def test_u_velocity_single_agent_example():
     snap = Snapshot(speeds=[1.0], headings=[math.pi / 2], positions=np.zeros((1, 2)))
-    u = u_velocity(snap, 0, ref_velocity=(0.5, 0.0), gamma=1.0)
-    assert u == pytest.approx(-0.5, abs=1e-15)
+    ref = ReferenceSignal(position=(0, 0), v_ref=0.5, theta_ref=0.0)  # velocity (0.5, 0)
+    u_vel, _, _ = control_terms(snap, ref, ControllerGains(gamma=1.0))
+    assert u_vel[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_u_velocity_matches_real_variable_form():
@@ -75,9 +57,9 @@ def test_u_velocity_matches_real_variable_form():
         v_ref = float(rng.uniform(0.0, 2.0))
         th_ref = float(rng.uniform(-math.pi, math.pi))
         gamma = float(rng.uniform(0.01, 1.0))
-        ref_vel = (v_ref * math.cos(th_ref), v_ref * math.sin(th_ref))
+        ref = ReferenceSignal(position=(0, 0), v_ref=v_ref, theta_ref=th_ref)
         k = int(rng.integers(0, n))
-        a = u_velocity(snap, k, ref_vel, gamma)
+        a = control_terms(snap, ref, ControllerGains(gamma=gamma))[0][k]
         b = u_velocity_real_form(snap, k, v_ref, th_ref, gamma)
         assert abs(a - b) <= 1e-12
 
@@ -157,8 +139,9 @@ def test_solve_feedforward_residual_and_min_norm():
 
 def test_feedforward_rhs_acceleration_part():
     ref = ReferenceSignal(position=(0, 0), v_ref=2.0, theta_ref=0.0, kappa_ref=0.5, a_ref=0.3)
-    np.testing.assert_allclose(feedforward_rhs(ref, include_accel=False), [0.0, 1.0], atol=1e-16)
-    np.testing.assert_allclose(feedforward_rhs(ref, include_accel=True), [0.3, 1.0], atol=1e-16)
+    turn_only = ReferenceSignal(position=(0, 0), v_ref=2.0, theta_ref=0.0, kappa_ref=0.5)
+    np.testing.assert_allclose(feedforward_rhs(turn_only), [0.0, 1.0], atol=1e-16)
+    np.testing.assert_allclose(feedforward_rhs(ref), [0.3, 1.0], atol=1e-16)
 
 
 # --------------------------------------------------------------------------
@@ -168,30 +151,34 @@ def test_feedforward_rhs_acceleration_part():
 GAINS_V = ControllerGains(gamma=0.001, omega0=0.25, spacing_mode=SpacingMode.BEACON)
 
 
+def lone_spacing(position, heading, speed, ref_position, gains=GAINS_V, beacon_velocity=None):
+    """control_terms' spacing term for a single vehicle."""
+    snap = Snapshot(speeds=[speed], headings=[heading], positions=[position])
+    ref = ReferenceSignal(position=ref_position, v_ref=0.0, theta_ref=0.0,
+                          beacon_velocity=beacon_velocity)
+    return control_terms(snap, ref, gains)[2][0]
+
+
 def test_u_spacing_at_beacon():
-    vk = VehicleState(id=1, position=(3.0, -2.0), heading=1.0, speed=10.0)
-    assert u_spacing_beacon(vk, (3.0, -2.0), GAINS_V) == pytest.approx(-0.25, abs=1e-15)
+    assert lone_spacing((3.0, -2.0), 1.0, 10.0, (3.0, -2.0)) == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_u_spacing_orthogonal_offset():
-    vk = VehicleState(id=1, position=(0.0, 7.0), heading=0.0, speed=10.0)
-    assert u_spacing_beacon(vk, (0.0, 0.0), GAINS_V) == pytest.approx(-0.25, abs=1e-15)
+    assert lone_spacing((0.0, 7.0), 0.0, 10.0, (0.0, 0.0)) == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_u_spacing_radial_offset():
-    vk = VehicleState(id=1, position=(10.0, 0.0), heading=0.0, speed=10.0)
-    assert u_spacing_beacon(vk, (0.0, 0.0), GAINS_V) == pytest.approx(-0.275, abs=1e-15)
+    assert lone_spacing((10.0, 0.0), 0.0, 10.0, (0.0, 0.0)) == pytest.approx(-0.275, abs=1e-15)
 
 
 def test_u_spacing_beacon_led_along_beacon_velocity():
-    vk = VehicleState(id=1, position=(10.0, 0.0), heading=0.0, speed=10.0)
     lead = beacon_lead(10.0, GAINS_V.gamma)
     assert lead == pytest.approx(20.0, rel=1e-15)  # 2 / (gamma v^2) seconds
     # the led law is the plain law about the point lead * V ahead of r_ref
     V = (0.5, -0.25)
     ahead = (lead * V[0], lead * V[1])
-    assert u_spacing_beacon(vk, (0.0, 0.0), GAINS_V, V) == pytest.approx(
-        u_spacing_beacon(vk, ahead, GAINS_V), abs=1e-15
+    assert lone_spacing((10.0, 0.0), 0.0, 10.0, (0.0, 0.0), beacon_velocity=V) == pytest.approx(
+        lone_spacing((10.0, 0.0), 0.0, 10.0, ahead), abs=1e-15
     )
 
 
@@ -200,10 +187,12 @@ def test_swarm_spacing_uses_reference_beacon_velocity():
     snap = random_snapshot(rng, 4)
     ref = ReferenceSignal(position=(1, 2), v_ref=1.0, theta_ref=0.4, beacon_velocity=(0.8, -0.3))
     gains = ControllerGains(gamma=0.1, omega0=0.3, spacing_mode=SpacingMode.BEACON)
-    for k, c in enumerate(swarm_controls(snap, ref, gains)):
-        vk = VehicleState(id=k + 1, position=snap.positions[k], heading=snap.headings[k], speed=snap.speeds[k])
-        assert c.u_spacing == pytest.approx(
-            u_spacing_beacon(vk, ref.position, gains, ref.beacon_velocity), abs=1e-12
+    _, _, u_spc = control_terms(snap, ref, gains)
+    for k in range(snap.n):
+        assert u_spc[k] == pytest.approx(
+            u_spacing_beacon(snap.positions[k], snap.headings[k], snap.speeds[k],
+                             ref.position, gains, ref.beacon_velocity),
+            abs=1e-12,
         )
 
 
@@ -216,8 +205,7 @@ def mean_orbit_centre_offset(beacon_velocity):
     offsets = []
     for m in range(6000):
         t = m * dt
-        vk = VehicleState(id=1, position=(x[0], y[0]), heading=th[0], speed=sp[0])
-        u = u_spacing_beacon(vk, V * t, GAINS_V, beacon_velocity)
+        u = lone_spacing((x[0], y[0]), th[0], sp[0], V * t, beacon_velocity=beacon_velocity)
         if t >= 400.0:  # eight orbits after the transient
             r = sp[0] / GAINS_V.omega0
             offsets.append((x[0] + r * math.sin(th[0]) - V[0] * t, y[0] - r * math.cos(th[0])))
@@ -272,11 +260,11 @@ def test_combined_control_zero_at_matched_stationary_ref():
     )
     ref = ReferenceSignal(position=(0, 0), v_ref=0.0, theta_ref=0.0)
     gains = ControllerGains(gamma=0.5, spacing_mode=SpacingMode.OFF)
-    c = combined_control(snap, 0, ref, gains)
+    u_vel, h, u_spc = control_terms(snap, ref, gains)
     # centroid velocity cancels only up to sin(pi) rounding
-    assert abs(c.total) <= 1e-15
-    assert abs(c.u_velocity) <= 1e-15
-    assert c.h_feedforward == 0.0 and c.u_spacing == 0.0
+    assert abs(u_vel[0] + h[0] + u_spc[0]) <= 1e-15
+    assert abs(u_vel[0]) <= 1e-15
+    assert h[0] == 0.0 and u_spc[0] == 0.0
 
 
 def test_combined_control_is_sum_of_parts():
@@ -284,17 +272,17 @@ def test_combined_control_is_sum_of_parts():
     snap = random_snapshot(rng, 5)
     ref = ReferenceSignal(position=(1, 2), v_ref=1.0, theta_ref=0.4, kappa_ref=0.2, a_ref=0.1)
     gains = ControllerGains(gamma=0.1, omega0=0.3, spacing_mode=SpacingMode.BEACON)
-    for k, c in enumerate(swarm_controls(snap, ref, gains)):
-        assert c.total == pytest.approx(c.u_velocity + c.h_feedforward + c.u_spacing, abs=1e-15)
-        assert c.u_velocity == pytest.approx(
+    # the engine applies u_vel + h + u_spc (test_engine's
+    # test_log_derived_columns_consistent); each part is checked here
+    u_vel, h, u_spc = control_terms(snap, ref, gains)
+    np.testing.assert_array_equal(h, solve_feedforward(snap, ref).h)
+    for k in range(snap.n):
+        assert u_vel[k] == pytest.approx(
             u_velocity(snap, k, ref.velocity, gains.gamma), abs=1e-12
         )
-        assert c.u_spacing == pytest.approx(
-            u_spacing_beacon(
-                VehicleState(id=k + 1, position=snap.positions[k], heading=snap.headings[k], speed=snap.speeds[k]),
-                ref.position,
-                gains,
-            ),
+        assert u_spc[k] == pytest.approx(
+            u_spacing_beacon(snap.positions[k], snap.headings[k], snap.speeds[k],
+                             ref.position, gains),
             abs=1e-12,
         )
 
@@ -314,11 +302,8 @@ def test_control_terms_match_the_separate_laws(mode):
         np.testing.assert_array_equal(u_spc, np.zeros(snap.n))
     else:
         raw = np.array([
-            u_spacing_beacon(
-                VehicleState(id=k + 1, position=snap.positions[k], heading=snap.headings[k],
-                             speed=snap.speeds[k]),
-                ref.position, gains, ref.beacon_velocity,
-            )
+            u_spacing_beacon(snap.positions[k], snap.headings[k], snap.speeds[k],
+                             ref.position, gains, ref.beacon_velocity)
             for k in range(snap.n)
         ])
         if mode is SpacingMode.BEACON_PROJECTED:
@@ -331,9 +316,12 @@ def test_combined_control_reduces_to_velocity_law():
     snap = random_snapshot(rng, 3)
     ref = ReferenceSignal(position=(0, 0), v_ref=1.0, theta_ref=-0.2)  # kappa = a = 0
     gains = ControllerGains(gamma=0.4, spacing_mode=SpacingMode.OFF)
-    for k, c in enumerate(swarm_controls(snap, ref, gains)):
-        assert c.total == pytest.approx(u_velocity(snap, k, ref.velocity, gains.gamma), abs=1e-15)
-        assert c.h_feedforward == 0.0 and c.u_spacing == 0.0
+    u_vel, h, u_spc = control_terms(snap, ref, gains)
+    for k in range(snap.n):
+        assert u_vel[k] + h[k] + u_spc[k] == pytest.approx(
+            u_velocity(snap, k, ref.velocity, gains.gamma), abs=1e-15
+        )
+        assert h[k] == 0.0 and u_spc[k] == 0.0
 
 
 def test_feedforward_toggle():
@@ -341,9 +329,9 @@ def test_feedforward_toggle():
     snap = random_snapshot(rng, 4)
     ref = ReferenceSignal(position=(0, 0), v_ref=1.0, theta_ref=0.0, kappa_ref=0.5)
     gains_off = ControllerGains(gamma=0.1, feedforward=False)
-    assert all(c.h_feedforward == 0.0 for c in swarm_controls(snap, ref, gains_off))
+    assert (control_terms(snap, ref, gains_off)[1] == 0.0).all()
     gains_on = ControllerGains(gamma=0.1, feedforward=True)
-    assert any(c.h_feedforward != 0.0 for c in swarm_controls(snap, ref, gains_on))
+    assert (control_terms(snap, ref, gains_on)[1] != 0.0).any()
 
 
 # --------------------------------------------------------------------------
@@ -360,13 +348,12 @@ def test_analytic_Vdot_matches_finite_difference():
     gamma, dt = 0.5, 1e-5
     ref = ReferenceSignal(position=(0, 0), v_ref=0.8, theta_ref=0.5)
     gains = ControllerGains(gamma=gamma, spacing_mode=SpacingMode.OFF)
-    vehicles = tuple(
-        VehicleState(id=i + 1, position=rng.uniform(-5, 5, 2), heading=rng.uniform(-3, 3), speed=rng.uniform(1, 2))
-        for i in range(3)
+    # (position, heading, speed) per vehicle
+    rows = [(rng.uniform(-5, 5, 2), rng.uniform(-3, 3), rng.uniform(1, 2)) for _ in range(3)]
+    snap = Snapshot(
+        speeds=[r[2] for r in rows], headings=[r[1] for r in rows], positions=[r[0] for r in rows]
     )
-    swarm = SwarmState(vehicles=vehicles)
-    snap = swarm.snapshot()
-    controls = [c.total for c in swarm_controls(snap, ref, gains)]
+    controls = total_command(snap, ref, gains)
     err = snap.centroid_velocity() - ref.velocity
     brackets = [
         -err[0] * v * math.sin(th) + err[1] * v * math.cos(th)
@@ -374,7 +361,11 @@ def test_analytic_Vdot_matches_finite_difference():
     ]
     vdot_analytic = -(gamma / snap.n) * sum(b * b for b in brackets)
     v0 = _lyapunov(snap, ref.velocity)
-    v1 = _lyapunov(step(swarm, controls, dt).snapshot(), ref.velocity)
+    x, y, th = rk4_unicycle_arrays(
+        snap.positions[:, 0], snap.positions[:, 1], snap.headings, snap.speeds, controls, dt
+    )
+    after = Snapshot(speeds=snap.speeds, headings=th, positions=np.column_stack((x, y)))
+    v1 = _lyapunov(after, ref.velocity)
     assert (v1 - v0) / dt == pytest.approx(vdot_analytic, abs=100.0 * dt)
     assert vdot_analytic <= 0.0
 
@@ -389,8 +380,8 @@ def test_projected_spacing_leaves_Vdot_unchanged():
         err = snap.centroid_velocity() - ref.velocity
         gains_off = ControllerGains(gamma=0.2, omega0=0.3, spacing_mode=SpacingMode.OFF)
         gains_prj = ControllerGains(gamma=0.2, omega0=0.3, spacing_mode=SpacingMode.BEACON_PROJECTED)
-        u_off = np.array([c.total for c in swarm_controls(snap, ref, gains_off)])
-        u_prj = np.array([c.total for c in swarm_controls(snap, ref, gains_prj)])
+        u_off = total_command(snap, ref, gains_off)
+        u_prj = total_command(snap, ref, gains_prj)
         # Vdot = <err, A u>; the projected spacing term contributes nothing
         vdot_off = float(err @ (A @ u_off))
         vdot_prj = float(err @ (A @ u_prj))
@@ -417,11 +408,11 @@ def test_rotation_equivariance(ang):
         kappa_ref=ref.kappa_ref,
         a_ref=ref.a_ref,
     )
-    for c, cr in zip(swarm_controls(snap, ref, gains), swarm_controls(snap_rot, ref_rot, gains)):
-        assert cr.total == pytest.approx(c.total, abs=1e-9)
-        assert cr.u_velocity == pytest.approx(c.u_velocity, abs=1e-9)
-        assert cr.h_feedforward == pytest.approx(c.h_feedforward, abs=1e-9)
-        assert cr.u_spacing == pytest.approx(c.u_spacing, abs=1e-9)
+    terms = control_terms(snap, ref, gains)
+    terms_rot = control_terms(snap_rot, ref_rot, gains)
+    np.testing.assert_allclose(sum(terms_rot), sum(terms), rtol=0.0, atol=1e-9)
+    for part, part_rot in zip(terms, terms_rot):  # u_vel, h, u_spc
+        np.testing.assert_allclose(part_rot, part, rtol=0.0, atol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +434,3 @@ def test_gains_validation():
     with pytest.raises(ValueError, match="u_max"):
         ControllerGains(gamma=0.1, u_max=0.0)
 
-
-def test_control_input_combine():
-    c = ControlInput.combine(0.1, 0.2, 0.3)
-    assert c.total == pytest.approx(0.6, abs=1e-15)

@@ -1,4 +1,4 @@
-"""Vector helpers, state containers, and the fixed-step integrator."""
+"""Vector helpers, the snapshot view, and the fixed-step integrator."""
 
 import math
 
@@ -7,21 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmtrack.dynamics import (
-    Snapshot,
-    SwarmState,
-    VehicleState,
-    centroid,
-    centroid_velocity,
-    heading_vector,
-    rk4_unicycle_arrays,
-    rotate90,
-    scalar_product,
-    step,
-    vec2,
-    wrap_angle,
-    wrap_angles,
-)
+from oracles import rotate90, scalar_product
+from swarmtrack.controllers import ControllerGains
+from swarmtrack.dynamics import Snapshot, rk4_unicycle_arrays, vec2, wrap_angle, wrap_angles
+from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -97,32 +86,34 @@ def test_scalar_product_polar_identity():
 
 
 # --------------------------------------------------------------------------
-# state containers
+# vehicle state and snapshot
+
+
+def lone_vehicle(heading=0.0, speed=1.0, dt=0.1):
+    """A one-vehicle, one-step run configuration."""
+    return ScenarioConfig(
+        agents=(AgentInit(position=(1, 2), heading=heading, speed=speed),),
+        gains=ControllerGains(gamma=0.1),
+        reference_mode=ConstantRef(velocity=(0.0, 0.0)),
+        duration=0.1,
+        dt=dt,
+        allow_infeasible=True,  # one vehicle cannot hold a zero reference
+    )
 
 
 def test_vehicle_state_validates_speed():
-    with pytest.raises(ValueError, match="speed must be positive"):
-        VehicleState(id=1, position=(0, 0), heading=0.0, speed=0.0)
-    with pytest.raises(ValueError, match="speed must be positive"):
-        VehicleState(id=2, position=(0, 0), heading=0.0, speed=-3.0)
+    with pytest.raises(ValueError, match="speeds must all be positive"):
+        run(lone_vehicle(speed=0.0))
+    with pytest.raises(ValueError, match="speeds must all be positive"):
+        run(lone_vehicle(speed=-3.0))
 
 
 def test_vehicle_state_wraps_heading():
-    v = VehicleState(id=1, position=(1, 2), heading=3.0 * math.pi, speed=1.0)
-    assert v.heading == pytest.approx(math.pi)
-    hv = heading_vector(v)
-    np.testing.assert_allclose(hv, [-1.0, 0.0], atol=1e-12)
-
-
-def test_swarm_state_requires_contiguous_ids():
-    mk = lambda i: VehicleState(id=i, position=(i, 0), heading=0.0, speed=1.0)
-    SwarmState(vehicles=(mk(1), mk(2), mk(3)))  # fine
-    with pytest.raises(ValueError, match="contiguous"):
-        SwarmState(vehicles=(mk(1), mk(3)))
-    with pytest.raises(ValueError, match="contiguous"):
-        SwarmState(vehicles=(mk(2), mk(1)))
-    with pytest.raises(ValueError):
-        SwarmState(vehicles=())
+    # the engine normalizes initial headings to (-pi, pi]
+    log = run(lone_vehicle(heading=3.0 * math.pi))
+    assert log.theta[0, 0] == pytest.approx(math.pi)
+    # its velocity is v e^{i th}
+    np.testing.assert_allclose(log.centroid_vel[0], [-1.0, 0.0], atol=1e-12)
 
 
 def test_snapshot_centroid_and_velocity():
@@ -136,19 +127,7 @@ def test_snapshot_centroid_and_velocity():
     hv = snap.heading_vectors()
     np.testing.assert_allclose(hv[0], [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(hv[1], [0.0, 2.0], atol=1e-15)
-
-
-def test_swarm_centroid_helpers_match_snapshot():
-    vehicles = tuple(
-        VehicleState(id=i + 1, position=(i, -i), heading=0.4 * i, speed=1.0 + i)
-        for i in range(4)
-    )
-    swarm = SwarmState(vehicles=vehicles)
-    np.testing.assert_allclose(centroid(swarm), swarm.snapshot().centroid())
-    np.testing.assert_allclose(
-        centroid_velocity(swarm), swarm.snapshot().centroid_velocity()
-    )
-    assert not swarm.snapshot().stale.any()
+    assert not snap.stale.any()
 
 
 # --------------------------------------------------------------------------
@@ -214,28 +193,19 @@ def test_rk4_heading_stays_wrapped(th0, u, v):
 
 
 def test_step_displacement_bounded_by_speed():
-    swarm = SwarmState(
-        vehicles=(
-            VehicleState(id=1, position=(0, 0), heading=0.2, speed=4.0),
-            VehicleState(id=2, position=(5, 5), heading=-1.0, speed=1.5),
-        )
-    )
+    speeds = np.array([4.0, 1.5])
+    x0, y0, th0 = np.array([0.0, 5.0]), np.array([0.0, 5.0]), np.array([0.2, -1.0])
     dt = 0.1
-    after = step(swarm, [0.3, -0.2], dt)
-    for before_v, after_v in zip(swarm.vehicles, after.vehicles):
-        d = np.linalg.norm(after_v.position - before_v.position)
-        assert d <= before_v.speed * dt + 1e-12
-        assert d >= 0.99 * before_v.speed * dt  # tiny turn, nearly straight
-        assert after_v.speed == before_v.speed
-        assert after_v.id == before_v.id
-    assert after.time == pytest.approx(swarm.time + dt)
+    x, y, th = rk4_unicycle_arrays(x0, y0, th0, speeds, np.array([0.3, -0.2]), dt)
+    d = np.hypot(x - x0, y - y0)
+    assert (d <= speeds * dt + 1e-12).all()
+    assert (d >= 0.99 * speeds * dt).all()  # tiny turn, nearly straight
+    np.testing.assert_array_equal(th, th0 + dt * np.array([0.3, -0.2]))
 
 
 def test_step_validates_inputs():
-    swarm = SwarmState(
-        vehicles=(VehicleState(id=1, position=(0, 0), heading=0.0, speed=1.0),)
-    )
+    # the integrator trusts its inputs; the step length is checked with the run's configuration
     with pytest.raises(ValueError, match="dt"):
-        step(swarm, [0.0], 0.0)
-    with pytest.raises(ValueError, match="controls"):
-        step(swarm, [0.0, 1.0], 0.1)
+        lone_vehicle(dt=0.0)
+    with pytest.raises(ValueError, match="dt"):
+        lone_vehicle(dt=-0.1)

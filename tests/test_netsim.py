@@ -13,10 +13,15 @@ from swarmtrack.netsim import (
     NetworkConfig,
     counter_uniform,
     emission_indices,
-    schedule_broadcasts,
-    snapshot_for_agent,
     source_phases,
 )
+
+
+def advance_steps(net, steps, dt, t0=0.0):
+    """Drive a network over `steps` windows of length dt with every state at rest."""
+    pos, vel = np.zeros((net.n, 2)), np.zeros((net.n, 2))
+    for m in range(steps):
+        net.advance(t0 + m * dt, t0 + (m + 1) * dt, pos, vel, None, None)
 
 
 # --------------------------------------------------------------------------
@@ -45,30 +50,30 @@ def test_counter_uniform_covers_unit_interval():
 def test_emission_counts_over_one_second():
     cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, seed=12)
     n = 3
-    counts = {s: 0 for s in range(n + 1)}
-    dt = 0.01
-    for m in range(100):
-        for sender, _ in schedule_broadcasts(m * dt, dt, cfg, n):
-            counts[sender] += 1
+    net = BroadcastNetwork(cfg, n)
+    advance_steps(net, 100, 0.01)
+    # seq counts every send instant, the target's too when it has no state to send
     for a in range(1, n + 1):
-        assert counts[a] == 10
-    assert counts[TARGET_ID] == 5
+        assert net.seq[a] == 10
+    assert net.seq[TARGET_ID] == 5
+    assert net.stats.sent == 3 * 10
 
 
 def test_target_rate_over_two_seconds():
     cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, seed=99)
-    total = 0
-    dt = 0.02
-    for m in range(100):
-        total += sum(1 for s, _ in schedule_broadcasts(m * dt, dt, cfg, 1) if s == TARGET_ID)
-    assert total == 10
+    net = BroadcastNetwork(cfg, 1)
+    advance_steps(net, 100, 0.02)
+    assert net.seq[TARGET_ID] == 10
 
 
 def test_schedule_is_deterministic():
-    cfg = NetworkConfig(seed=5)
-    a = schedule_broadcasts(0.35, 0.1, cfg, 4)
-    b = schedule_broadcasts(0.35, 0.1, cfg, 4)
-    assert a == b
+    cfg = NetworkConfig(seed=5, loss_probability=0.3, jitter=0.05)
+    a, b = BroadcastNetwork(cfg, 4), BroadcastNetwork(cfg, 4)
+    advance_steps(a, 1, 0.1, t0=0.35)
+    advance_steps(b, 1, 0.1, t0=0.35)
+    assert a.stats.sent > 0
+    assert a.seq == b.seq and a.stats == b.stats
+    assert [p[:4] for p in a.pending] == [p[:4] for p in b.pending]
     assert source_phases(cfg, 4) == source_phases(cfg, 4)
 
 
@@ -242,36 +247,27 @@ def test_snapshot_own_state_is_truth():
 
 
 def test_snapshot_extrapolates_constant_velocity_sender():
-    table = NeighborTable(owner=1)
     msg = BroadcastMessage(sender=2, send_time=1.0, position=(10.0, 0.0), velocity=(3.0, 4.0))
-    table.update(msg, receive_time=1.0)
-    snap = snapshot_for_agent(
-        table, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5,
-        extrapolate=True,
-    )
+    net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2)
+    net.tables[1].update(msg, receive_time=1.0)
+    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5)
     np.testing.assert_allclose(snap.positions[1], [10.0 + 3.0 * 1.5, 4.0 * 1.5], atol=1e-12)
     # without extrapolation: last received position as-is
-    snap = snapshot_for_agent(
-        table, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5,
-    )
+    net = BroadcastNetwork(NetworkConfig(), 2)
+    net.tables[1].update(msg, receive_time=1.0)
+    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5)
     np.testing.assert_allclose(snap.positions[1], [10.0, 0.0])
 
 
 def test_snapshot_staleness_flag():
-    table = NeighborTable(owner=1)
-    table.update(
+    net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2)
+    net.tables[1].update(
         BroadcastMessage(sender=2, send_time=0.0, position=(1.0, 1.0), velocity=(1.0, 0.0)),
         receive_time=0.0,
     )
-    snap = snapshot_for_agent(
-        table, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=2.0,
-        staleness_budget=1.0,
-    )
+    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=2.0)
     assert snap.stale[1] and not snap.stale[0]
-    snap = snapshot_for_agent(
-        table, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=0.5,
-        staleness_budget=1.0,
-    )
+    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=0.5)
     assert not snap.stale.any()
 
 

@@ -11,12 +11,10 @@ from swarmtrack.reference import (
     ConstantVelocityTarget,
     ConstantWeight,
     DistanceDependentWeight,
-    ReferenceDifferentiator,
     ReferenceSignal,
     TurningTarget,
     WaypointTarget,
     polar_velocity,
-    reference_derivatives,
     reference_kinematics,
     reference_rates,
     reference_velocity,
@@ -231,66 +229,7 @@ def test_reference_signal_velocity_roundtrip():
 
 
 def test_polar_velocity_zero_uses_fallback():
-    v, th = polar_velocity((0.0, 0.0), fallback_theta=0.4)
-    assert v == 0.0 and th == 0.4
+    v, th = polar_velocity((0.0, 0.0))
+    assert v == 0.0 and th == 0.0
     v, th = polar_velocity((0.0, 2.0))
     assert v == 2.0 and th == pytest.approx(math.pi / 2)
-
-
-# --------------------------------------------------------------------------
-# finite-difference derivatives
-
-
-def test_differentiator_first_sample_is_zero():
-    d = ReferenceDifferentiator(dt=0.01)
-    assert d.update((1.0, 0.0)) == (0.0, 0.0)
-    assert d.polar == (1.0, 0.0)
-
-
-def test_differentiator_recovers_turn_rate():
-    dt = 0.01
-    d = ReferenceDifferentiator(dt)
-    out = (0.0, 0.0)
-    for i in range(5):
-        th = 0.5 * i * dt
-        out = d.update((math.cos(th), math.sin(th)))
-    kappa, a = out
-    assert kappa == pytest.approx(0.5, abs=1e-9)
-    assert a == pytest.approx(0.0, abs=1e-9)
-
-
-def test_differentiator_recovers_speed_rate():
-    dt = 0.01
-    samples = [((1.0 + 0.1 * i * dt), 0.0) for i in range(5)]
-    kappa, a = reference_derivatives(samples, dt)
-    assert a == pytest.approx(0.1, abs=1e-9)
-    assert kappa == pytest.approx(0.0, abs=1e-12)
-
-
-def test_differentiator_constant_velocity_gives_zero():
-    kappa, a = reference_derivatives([(2.0, 1.0)] * 4, dt=0.05)
-    assert kappa == 0.0 and a == 0.0
-
-
-def test_differentiator_wraps_heading_increment():
-    # heading steps across the +pi/-pi seam; the rate must stay small
-    dt = 0.1
-    th0, th1 = math.pi - 0.01, -math.pi + 0.01
-    kappa, _ = reference_derivatives(
-        [(math.cos(th0), math.sin(th0)), (math.cos(th1), math.sin(th1))], dt
-    )
-    assert kappa == pytest.approx(0.02 / dt, abs=1e-9)
-
-
-def test_differentiator_zero_speed_holds_heading():
-    d = ReferenceDifferentiator(dt=0.1)
-    d.update((3.0, 0.0))
-    kappa, a = d.update((0.0, 0.0))
-    assert kappa == 0.0  # heading held at previous value
-    assert a == pytest.approx(-30.0)
-    assert d.polar == (0.0, 0.0)
-
-
-def test_differentiator_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        ReferenceDifferentiator(dt=0.0)

@@ -406,8 +406,17 @@ def test_weight_validation_bubbles():
 
 
 def test_ground_truth_network_rejects_extra_keys():
-    text = MINIMAL + "\n[network]\nmode = ground_truth\nloss = 0.1\n"
-    expect_error(text, "loss = 0.1", "unknown key 'loss' in [network]")
+    text = MINIMAL + "\n[network]\nmode = ground_truth\nlosses = 0.1\n"
+    expect_error(text, "losses = 0.1", "unknown key 'losses' in [network]")
+
+
+def test_ground_truth_network_accepts_broadcast_keys():
+    keys = "agent_rate = 10\ntarget_rate = 5\nloss = 0.1\ndelay = 0.05\njitter = 0.01\n"
+    text = MINIMAL + "\n[network]\nmode = ground_truth\n" + keys
+    assert parse_scenario_text(text).network is None
+    # the keys are validated in either mode
+    bad = MINIMAL + "\n[network]\nmode = ground_truth\nloss = 1.5\n"
+    expect_error(bad, "[network]", "loss_probability")
 
 
 def test_unknown_network_mode():
