@@ -52,13 +52,7 @@ from .engine import (
     run,
     run_oracle_centroid,
 )
-from .netsim import (
-    BroadcastMessage,
-    BroadcastNetwork,
-    NeighborTable,
-    NetworkConfig,
-    counter_uniform,
-)
+from .netsim import BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
     ConstantVelocityTarget,
     ConstantWeight,
@@ -75,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentInit",
-    "BroadcastMessage",
     "BroadcastNetwork",
     "ConstantRef",
     "ConstantVelocityTarget",
@@ -88,7 +81,6 @@ __all__ = [
     "FeasibilityReport",
     "FeedforwardSolution",
     "InfeasibleScenario",
-    "NeighborTable",
     "NetworkConfig",
     "ReferenceSignal",
     "RunLog",

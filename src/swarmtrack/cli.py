@@ -447,11 +447,13 @@ def _execute(config: ScenarioConfig, out_dir) -> int:
         return 1
     summary = write_artifacts(log, out_dir, config)
     m = summary["metrics"]
-    beta = m["beta"]["mean_after_transient"]
+    beta = m["beta"]
     print(f"wrote {Path(out_dir) / 'trajectory.csv'} ({m['rows']} rows)")
     print(f"final V = {m['final_V']:.6g}")
-    if beta is not None:
-        print(f"mean |centroid - target| after t={m['transient_time']:g}: {beta:.6g} m")
+    if beta["mean_after_transient"] is not None:
+        print(f"|centroid - target| after t={m['transient_time']:g}: "
+              f"mean {beta['mean_after_transient']:.6g} m, "
+              f"max {beta['max_after_transient']:.6g} m")
     if m["network"]["delivered_ratio"] is not None:
         print(f"network delivered ratio: {m['network']['delivered_ratio']:.4f}")
     return 0

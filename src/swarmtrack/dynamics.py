@@ -51,8 +51,8 @@ class Snapshot:
     """What a controller sees: one (speed, heading, position) row per agent.
 
     In ground-truth mode this is the exact swarm state; in networked mode it is
-    assembled from an agent's neighbor table and entries may be stale (flagged
-    in `stale`). Controllers only ever read this view, so they are indifferent
+    assembled from what an agent last received, and entries may be stale
+    (flagged in `stale`). Controllers only ever read this view, so they are indifferent
     to where it came from.
     """
 

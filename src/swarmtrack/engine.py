@@ -1,7 +1,7 @@
 """Deterministic fixed-step simulation loop.
 
 One step: sample the target, let every agent assemble its view of the swarm
-(ground truth, or its own neighbor table in networked mode), form the
+(ground truth, or what it last received in networked mode), form the
 reference velocity, compute the three-term heading-rate command, integrate the
 unicycle dynamics, then move broadcast traffic. Everything an analysis could
 want is appended to a fixed-schema log, one record per step.
@@ -155,8 +155,8 @@ class RunLog:
     Per-agent arrays have shape (rows, n). u_total is the applied command
     (including optional disturbance and saturation); u_vel/u_h/u_spc are the
     controller's decomposition. Network counters are cumulative; stale_count
-    is the number of stale table entries seen this step. In networked mode the
-    reference columns are the observer reference (driven by the true
+    is the number of stale received entries seen this step. In networked mode
+    the reference columns are the observer reference (driven by the true
     centroid); V and alpha_norm measure against it.
     """
 
@@ -249,7 +249,7 @@ class _RefStream:
     """One integrated copy of the generated reference trajectory.
 
     In networked mode each agent owns one (fed by its own centroid estimate
-    and target table); an extra observer copy, fed by ground truth, is what
+    and target estimate); an extra observer copy, fed by ground truth, is what
     the log reports.
 
     The turn rate and speed rate come from the closed-form derivative of the

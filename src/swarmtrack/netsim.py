@@ -3,9 +3,9 @@
 All agents (and the target) broadcast position/velocity at fixed rates; every
 receiver independently loses each message with a configured probability, and
 survivors arrive after an optional (possibly jittered) delay. Each agent keeps
-a neighbor table of last-received states and computes its controls from that
-table, reproducing the decentralized information structure of a real swarm:
-agents may briefly disagree about where everyone is.
+the last-received state of every sender (one row of the network's arrays) and
+computes its controls from that row, reproducing the decentralized information
+structure of a real swarm: agents may briefly disagree about where everyone is.
 
 All randomness is counter-based: every draw is a pure hash of
 (seed, purpose, sender, sequence, receiver), so outcomes do not depend on
@@ -14,8 +14,9 @@ evaluation order and a run is bit-reproducible from its seed.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +54,9 @@ class NetworkConfig:
 
     loss_probability applies per (message, receiver). delay is a fixed latency
     and jitter adds a uniform [0, jitter) extra per (message, receiver); their
-    sum bounds the worst-case latency. staleness_budget (when set) flags table
-    entries older than the budget. extrapolate enables dead reckoning between
-    receptions (default off: pure last-received semantics).
+    sum bounds the worst-case latency. staleness_budget (when set) flags
+    received entries older than the budget. extrapolate enables dead reckoning
+    between receptions (default off: pure last-received semantics).
     """
 
     agent_rate: float = 10.0
@@ -68,12 +69,14 @@ class NetworkConfig:
     staleness_budget: float | None = None
 
     def __post_init__(self):
-        if self.agent_rate <= 0.0 or self.target_rate <= 0.0:
-            raise ValueError("broadcast rates must be positive")
+        if not (0.0 < self.agent_rate < math.inf and 0.0 < self.target_rate < math.inf):
+            raise ValueError("broadcast rates must be positive and finite")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError("loss_probability must lie in [0, 1)")
-        if self.delay < 0.0 or self.jitter < 0.0:
-            raise ValueError("delay and jitter must be non-negative")
+        if not (0.0 <= self.delay < math.inf and 0.0 <= self.jitter < math.inf):
+            raise ValueError("delay and jitter must be non-negative and finite")
+        if self.staleness_budget is not None and not self.staleness_budget > 0.0:
+            raise ValueError("staleness_budget must be positive")
 
     @property
     def max_delay(self) -> float:
@@ -82,41 +85,6 @@ class NetworkConfig:
     def bandwidth_bits_per_s(self) -> float:
         """Per-agent payload rate: four 32-bit floats per message."""
         return 4 * 32 * self.agent_rate
-
-
-@dataclass(frozen=True)
-class BroadcastMessage:
-    sender: int  # agent id, or TARGET_ID for the target
-    send_time: float
-    position: np.ndarray
-    velocity: np.ndarray
-    seq: int = 0
-
-
-@dataclass
-class TableEntry:
-    position: np.ndarray
-    velocity: np.ndarray
-    receive_time: float
-
-
-@dataclass
-class NeighborTable:
-    """Last-received broadcast state per sender, as seen by one agent."""
-
-    owner: int
-    entries: dict = field(default_factory=dict)  # sender -> TableEntry
-
-    def update(self, msg: BroadcastMessage, receive_time: float):
-        """Apply a delivery; stale messages never overwrite newer ones."""
-        cur = self.entries.get(msg.sender)
-        if cur is not None and receive_time < cur.receive_time:
-            return
-        self.entries[msg.sender] = TableEntry(
-            position=np.asarray(msg.position, dtype=float).copy(),
-            velocity=np.asarray(msg.velocity, dtype=float).copy(),
-            receive_time=receive_time,
-        )
 
 
 def emission_indices(phase: float, period: float, t0: float, t1: float):
@@ -147,52 +115,65 @@ class NetworkStats:
 
 
 class BroadcastNetwork:
-    """Stateful broadcast medium plus the per-agent neighbor tables.
+    """Stateful broadcast medium plus every agent's last-received state.
+
+    What agent k last received from sender s is row k - 1, column s of four
+    arrays: `pos` and `vel` (n, n+1, 2), the heading of that velocity
+    `heading` (n, n+1), and the arrival time `recv_t` (n, n+1), -inf while
+    nothing has arrived. Column 0 is the target; an agent's own column stays
+    empty.
 
     The engine drives it once per step after integrating the dynamics: any
     source whose nominal send instant fell inside the step window emits a
     message carrying the post-step state, per-receiver loss and delay are
-    drawn, and due deliveries are applied to the tables in arrival order.
+    drawn, and due deliveries are stored in arrival order.
     """
 
     def __init__(self, config: NetworkConfig, n_agents: int):
         self.config = config
         self.n = n_agents
         self.phases = source_phases(config, n_agents)
-        self.tables = {a: NeighborTable(owner=a) for a in range(1, n_agents + 1)}
-        self.pending = []  # (arrival, sender, seq, receiver, BroadcastMessage)
+        self.pos = np.zeros((n_agents, n_agents + 1, 2))
+        self.vel = np.zeros((n_agents, n_agents + 1, 2))
+        self.heading = np.zeros((n_agents, n_agents + 1))
+        self.recv_t = np.full((n_agents, n_agents + 1), -math.inf)
+        # heap of (arrival, sender, seq, receiver, (position, velocity, heading))
+        self.pending = []
         self.seq = {s: 0 for s in self.phases}
         self.stats = NetworkStats()
 
+    def deliver(self, receiver: int, sender: int, arrival: float, position, velocity,
+                heading: float | None = None):
+        """Store a delivery; an older arrival never overwrites a newer one.
+
+        `heading` is that of `velocity`, computed here when not given.
+        """
+        row = receiver - 1
+        if arrival < self.recv_t[row, sender]:
+            return
+        if heading is None:
+            heading = math.atan2(velocity[1], velocity[0])
+        self.pos[row, sender] = position
+        self.vel[row, sender] = velocity
+        self.heading[row, sender] = heading
+        self.recv_t[row, sender] = arrival
+
     def initialize(self, positions, velocities, target_pos, target_vel):
-        """Fill every table with everyone's true state at t = 0."""
-        for owner, table in self.tables.items():
-            for a in range(1, self.n + 1):
-                if a == owner:
-                    continue
-                table.entries[a] = TableEntry(
-                    position=np.asarray(positions[a - 1], float).copy(),
-                    velocity=np.asarray(velocities[a - 1], float).copy(),
-                    receive_time=0.0,
-                )
+        """Give every agent everyone's true state at t = 0."""
+        for receiver in range(1, self.n + 1):
+            for sender in range(1, self.n + 1):
+                if sender != receiver:
+                    self.deliver(receiver, sender, 0.0,
+                                 positions[sender - 1], velocities[sender - 1])
             if target_pos is not None:
-                table.entries[TARGET_ID] = TableEntry(
-                    position=np.asarray(target_pos, float).copy(),
-                    velocity=np.asarray(target_vel, float).copy(),
-                    receive_time=0.0,
-                )
+                self.deliver(receiver, TARGET_ID, 0.0, target_pos, target_vel)
 
     def _emit(self, sender: int, stamp: float, position, velocity):
         cfg = self.config
         seq = self.seq[sender]
         self.seq[sender] = seq + 1
-        msg = BroadcastMessage(
-            sender=sender,
-            send_time=stamp,
-            position=np.asarray(position, float).copy(),
-            velocity=np.asarray(velocity, float).copy(),
-            seq=seq,
-        )
+        vx, vy = float(velocity[0]), float(velocity[1])
+        msg = ((float(position[0]), float(position[1])), (vx, vy), math.atan2(vy, vx))
         self.stats.sent += 1
         for receiver in range(1, self.n + 1):
             if receiver == sender:
@@ -205,14 +186,15 @@ class BroadcastNetwork:
             delay = cfg.delay
             if cfg.jitter > 0.0:
                 delay += cfg.jitter * counter_uniform(cfg.seed, SALT_JITTER, sender, seq, receiver)
-            self.pending.append((stamp + delay, sender, seq, receiver, msg))
+            heapq.heappush(self.pending, (stamp + delay, sender, seq, receiver, msg))
 
     def advance(self, t_prev: float, t_new: float, positions, velocities, target_pos, target_vel):
         """Emit for send instants in [t_prev, t_new), then apply due arrivals.
 
         Emitted messages carry the grid state at t_new (states only exist on
         the step grid; the nominal instant determines whether a message goes
-        out, the grid supplies its content).
+        out, the grid supplies its content). Arrivals are stored in
+        (arrival, sender, seq, receiver) order.
         """
         cfg = self.config
         for sender in sorted(self.phases):
@@ -226,51 +208,34 @@ class BroadcastNetwork:
                     self._emit(sender, t_new, target_pos, target_vel)
                 else:
                     self._emit(sender, t_new, positions[sender - 1], velocities[sender - 1])
-        if self.pending:
-            due = [p for p in self.pending if p[0] <= t_new]
-            if due:
-                self.pending = [p for p in self.pending if p[0] > t_new]
-                for arrival, _, _, receiver, msg in sorted(due, key=lambda p: (p[0], p[1], p[2])):
-                    self.tables[receiver].update(msg, arrival)
-
-    def _entry_view(self, entry: TableEntry, t: float):
-        """(position, stale) of a table entry as seen at time t.
-
-        The position is the last received one, dead-reckoned along the
-        received velocity when extrapolation is on. The entry is stale when it
-        is older than the staleness budget.
-        """
-        cfg = self.config
-        age = t - entry.receive_time
-        pos = entry.position
-        if cfg.extrapolate:
-            pos = pos + entry.velocity * age
-        return pos, cfg.staleness_budget is not None and age > cfg.staleness_budget
+        pending = self.pending
+        while pending and pending[0][0] <= t_new:
+            arrival, sender, _, receiver, (position, velocity, heading) = heapq.heappop(pending)
+            self.deliver(receiver, sender, arrival, position, velocity, heading)
 
     def snapshot_for_agent(self, k: int, own_position, own_heading, speeds, t: float) -> Snapshot:
-        """Build the n-agent controller snapshot from agent k's table.
+        """Build the n-agent controller snapshot from agent k's row.
 
         The owner contributes its true local state. Neighbors contribute their
-        last-received position and velocity; the velocity is decomposed back
-        into (speed, heading) with the speed taken from static scenario
-        knowledge (cruising speeds are constants known to the whole team).
-        Entries older than the staleness budget are flagged.
+        last-received position, dead-reckoned along the received velocity when
+        extrapolation is on, and the heading of that velocity; the speed comes
+        from static scenario knowledge (cruising speeds are constants known to
+        the whole team). Entries older than the staleness budget are flagged.
         """
-        entries = self.tables[k].entries
-        n = len(speeds)
-        pos = np.empty((n, 2))
-        headings = np.empty(n)
-        stale = np.zeros(n, dtype=bool)
-        for a in range(1, n + 1):
-            if a == k:
-                pos[a - 1] = own_position
-                headings[a - 1] = own_heading
-                continue
-            entry = entries[a]
-            pos[a - 1], is_stale = self._entry_view(entry, t)
-            if is_stale:
-                stale[a - 1] = True
-            headings[a - 1] = math.atan2(entry.velocity[1], entry.velocity[0])
+        cfg = self.config
+        row = k - 1
+        pos = self.pos[row, 1:].copy()
+        stale = np.zeros(self.n, dtype=bool)
+        if cfg.extrapolate or cfg.staleness_budget is not None:
+            age = t - self.recv_t[row, 1:]
+            age[row] = 0.0  # the owner's own column is never filled
+            if cfg.extrapolate:
+                pos += self.vel[row, 1:] * age[:, None]
+            if cfg.staleness_budget is not None:
+                stale = age > cfg.staleness_budget
+        pos[row] = own_position
+        headings = self.heading[row, 1:].copy()
+        headings[row] = own_heading
         return Snapshot(
             speeds=np.asarray(speeds, dtype=float),
             headings=headings,
@@ -280,8 +245,13 @@ class BroadcastNetwork:
 
     def target_estimate(self, k: int, t: float):
         """Last-received target (position, velocity, stale flag) for agent k."""
-        entry = self.tables[k].entries.get(TARGET_ID)
-        if entry is None:
+        cfg = self.config
+        received = self.recv_t.item(k - 1, TARGET_ID)
+        if received == -math.inf:
             return None, None, False
-        pos, stale = self._entry_view(entry, t)
-        return pos.copy(), entry.velocity.copy(), stale
+        age = t - received
+        pos = self.pos[k - 1, TARGET_ID].copy()
+        vel = self.vel[k - 1, TARGET_ID].copy()
+        if cfg.extrapolate:
+            pos += vel * age
+        return pos, vel, cfg.staleness_budget is not None and age > cfg.staleness_budget

@@ -9,6 +9,7 @@ an interface, so silent tolerance of typos would be worse than strictness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,19 @@ _KNOWN_SECTIONS = {"agents", "target", "controller", "reference", "network", "si
 _MULTI_KEYS = {("target", "waypoint")}
 
 
-def _parse_float(e: _Entry, what: str) -> float:
+def _finite(raw: str, what: str, line: int, expected: str = "a number") -> float:
+    """float(raw); nan and inf are refused like any other non-number."""
     try:
-        return float(e.value)
+        value = float(raw)
     except ValueError:
-        raise ScenarioError(f"{what}: expected a number, got '{e.value}'", e.line) from None
+        raise ScenarioError(f"{what}: expected {expected}, got '{raw}'", line) from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{what}: expected a finite number, got '{raw}'", line)
+    return value
+
+
+def _parse_float(e: _Entry, what: str) -> float:
+    return _finite(e.value, what, e.line)
 
 
 def _parse_int(e: _Entry, what: str) -> int:
@@ -112,10 +121,7 @@ def _parse_pair(e: _Entry, what: str):
     parts = e.value.replace(",", " ").split()
     if len(parts) != 2:
         raise ScenarioError(f"{what}: expected two numbers, got '{e.value}'", e.line)
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ScenarioError(f"{what}: expected two numbers, got '{e.value}'", e.line) from None
+    return tuple(_finite(p, what, e.line, "two numbers") for p in parts)
 
 
 def _tokenize(text: str):
@@ -227,10 +233,7 @@ def _build_weight(entry: _Entry):
             "weight: expected 'constant W' or 'distance_dependent SCALE'", entry.line
         )
     kind, raw = parts[0].lower(), parts[1]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ScenarioError(f"weight: expected a number, got '{raw}'", entry.line) from None
+    value = _finite(raw, "weight", entry.line)
     try:
         if kind == "constant":
             return ConstantWeight(value)

@@ -241,6 +241,20 @@ def test_cli_run_success(tmp_path, capsys):
     assert len(cols["t"]) == 100
 
 
+def test_cli_run_prints_mean_and_worst_distance_after_transient(tmp_path, capsys):
+    scenario = tmp_path / "replay.ini"
+    scenario.write_text(override_scenario_text(bundled_scenario_text(), "sim", "duration", "5"),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    m = json.loads((out / "summary.json").read_text(encoding="utf-8"))["metrics"]
+    beta = m["beta"]
+    assert beta["max_after_transient"] >= beta["mean_after_transient"]
+    assert (f"|centroid - target| after t={m['transient_time']:g}: "
+            f"mean {beta['mean_after_transient']:.6g} m, "
+            f"max {beta['max_after_transient']:.6g} m") in capsys.readouterr().out
+
+
 def test_cli_run_seed_flag_changes_network_draws(tmp_path):
     scenario = tmp_path / "case.ini"
     scenario.write_text(NETWORKED, encoding="utf-8")

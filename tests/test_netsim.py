@@ -1,15 +1,15 @@
-"""Broadcast scheduling, lossy delivery, and neighbor-table snapshots."""
+"""Broadcast scheduling, lossy delivery, and the received-state arrays."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmtrack.netsim import (
     TARGET_ID,
-    BroadcastMessage,
     BroadcastNetwork,
-    NeighborTable,
     NetworkConfig,
     counter_uniform,
     emission_indices,
@@ -108,6 +108,20 @@ def test_network_config_validation():
         NetworkConfig(loss_probability=1.0)
     with pytest.raises(ValueError, match="delay"):
         NetworkConfig(delay=-0.1)
+    # non-finite values and a non-positive staleness budget are refused too
+    for kwargs, message in [
+        ({"agent_rate": math.nan}, "rates"),
+        ({"target_rate": math.inf}, "rates"),
+        ({"loss_probability": math.nan}, "loss"),
+        ({"delay": math.nan}, "delay"),
+        ({"delay": math.inf}, "delay"),
+        ({"jitter": math.inf}, "jitter"),
+        ({"staleness_budget": 0.0}, "staleness_budget"),
+        ({"staleness_budget": -1.0}, "staleness_budget"),
+        ({"staleness_budget": math.nan}, "staleness_budget"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig(**kwargs)
     cfg = NetworkConfig(delay=0.05, jitter=0.02)
     assert cfg.max_delay == pytest.approx(0.07)
 
@@ -118,17 +132,22 @@ def test_bandwidth_accounting():
 
 
 # --------------------------------------------------------------------------
-# neighbor tables
+# received-state arrays
+
+
+def filled(net, owner):
+    """Senders whose state agent `owner` has received."""
+    return {s for s in range(net.n + 1) if net.recv_t[owner - 1, s] > -math.inf}
 
 
 def test_table_never_rolls_back():
-    table = NeighborTable(owner=1)
-    newer = BroadcastMessage(sender=2, send_time=1.0, position=(1.0, 1.0), velocity=(1.0, 0.0), seq=1)
-    older = BroadcastMessage(sender=2, send_time=0.5, position=(9.0, 9.0), velocity=(0.0, 1.0), seq=0)
-    table.update(newer, receive_time=1.0)
-    table.update(older, receive_time=0.5)  # late arrival of the older message
-    np.testing.assert_allclose(table.entries[2].position, [1.0, 1.0])
-    assert table.entries[2].receive_time == 1.0
+    net = BroadcastNetwork(NetworkConfig(), 2)
+    net.deliver(1, 2, 1.0, (1.0, 1.0), (1.0, 0.0))
+    net.deliver(1, 2, 0.5, (9.0, 9.0), (0.0, 1.0))  # late arrival of the older message
+    np.testing.assert_allclose(net.pos[0, 2], [1.0, 1.0])
+    np.testing.assert_allclose(net.vel[0, 2], [1.0, 0.0])
+    assert net.heading[0, 2] == 0.0
+    assert net.recv_t[0, 2] == 1.0
 
 
 def _drive(net, n, dt, steps, x0, vel, tgt0=None, tvel=None):
@@ -146,13 +165,14 @@ def test_initialize_fills_tables():
     pos = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     vel = np.array([[1.0, 0.0]] * 3)
     net.initialize(pos, vel, np.array([50.0, 0.0]), np.array([2.0, 0.0]))
-    for owner, table in net.tables.items():
-        assert set(table.entries) == {TARGET_ID, *[a for a in (1, 2, 3) if a != owner]}
-        np.testing.assert_allclose(table.entries[TARGET_ID].position, [50.0, 0.0])
+    for owner in (1, 2, 3):
+        row = owner - 1
+        assert filled(net, owner) == {TARGET_ID, *[a for a in (1, 2, 3) if a != owner]}
+        np.testing.assert_allclose(net.pos[row, TARGET_ID], [50.0, 0.0])
         for a in (1, 2, 3):
             if a != owner:
-                np.testing.assert_allclose(table.entries[a].position, pos[a - 1])
-                assert table.entries[a].receive_time == 0.0
+                np.testing.assert_allclose(net.pos[row, a], pos[a - 1])
+                assert net.recv_t[row, a] == 0.0
 
 
 def test_lossless_zero_delay_tables_track_truth():
@@ -168,14 +188,14 @@ def test_lossless_zero_delay_tables_track_truth():
         net.advance(t, t_next, x0 + vel * t_next, vel, None, None)
     assert net.stats.dropped == 0
     assert net.stats.delivered == net.stats.pair_decisions
-    # each table entry equals the sender's true state at its last send window
+    # each received entry equals the sender's true state at its last send window
     for owner in (1, 2):
         other = 2 if owner == 1 else 1
-        entry = net.tables[owner].entries[other]
+        received = net.recv_t[owner - 1, other]
         np.testing.assert_allclose(
-            entry.position, x0[other - 1] + vel[other - 1] * entry.receive_time, atol=1e-12
+            net.pos[owner - 1, other], x0[other - 1] + vel[other - 1] * received, atol=1e-12
         )
-        assert entry.receive_time > 1.8  # got a message in the last periods
+        assert received > 1.8  # got a message in the last periods
 
 
 def test_total_loss_freezes_tables():
@@ -187,9 +207,9 @@ def test_total_loss_freezes_tables():
     net.initialize(x0, vel, None, None)
     _drive(net, n, 0.01, 500, x0, vel)
     assert net.stats.delivered == 0
-    for table in net.tables.values():
-        for entry in table.entries.values():
-            assert entry.receive_time == 0.0
+    received = net.recv_t[net.recv_t > -math.inf]
+    assert len(received) == n * (n - 1)
+    assert (received == 0.0).all()
 
 
 def test_delivered_count_matches_binomial():
@@ -221,12 +241,12 @@ def test_delayed_messages_arrive_later():
     for m in range(20):
         net.advance(m * dt, (m + 1) * dt, x0 + vel * (m + 1) * dt, vel, None, None)
     assert net.stats.delivered > 0  # counted on emission
-    assert all(e.receive_time == 0.0 for t in net.tables.values() for e in t.entries.values())
+    assert (net.recv_t[net.recv_t > -math.inf] == 0.0).all()
     assert len(net.pending) > 0
     # run past the delay: deliveries drain
     for m in range(20, 60):
         net.advance(m * dt, (m + 1) * dt, x0 + vel * (m + 1) * dt, vel, None, None)
-    assert net.tables[1].entries[2].receive_time >= 0.35
+    assert net.recv_t[0, 2] >= 0.35
 
 
 # --------------------------------------------------------------------------
@@ -247,24 +267,20 @@ def test_snapshot_own_state_is_truth():
 
 
 def test_snapshot_extrapolates_constant_velocity_sender():
-    msg = BroadcastMessage(sender=2, send_time=1.0, position=(10.0, 0.0), velocity=(3.0, 4.0))
     net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2)
-    net.tables[1].update(msg, receive_time=1.0)
+    net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5)
     np.testing.assert_allclose(snap.positions[1], [10.0 + 3.0 * 1.5, 4.0 * 1.5], atol=1e-12)
     # without extrapolation: last received position as-is
     net = BroadcastNetwork(NetworkConfig(), 2)
-    net.tables[1].update(msg, receive_time=1.0)
+    net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5)
     np.testing.assert_allclose(snap.positions[1], [10.0, 0.0])
 
 
 def test_snapshot_staleness_flag():
     net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2)
-    net.tables[1].update(
-        BroadcastMessage(sender=2, send_time=0.0, position=(1.0, 1.0), velocity=(1.0, 0.0)),
-        receive_time=0.0,
-    )
+    net.deliver(1, 2, 0.0, (1.0, 1.0), (1.0, 0.0))
     snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=2.0)
     assert snap.stale[1] and not snap.stale[0]
     snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=0.5)
@@ -284,3 +300,86 @@ def test_target_estimate():
     net_no_tgt.initialize(np.zeros((2, 2)), np.ones((2, 2)), None, None)
     pos, vel, stale = net_no_tgt.target_estimate(1, t=0.0)
     assert pos is None and vel is None and not stale
+
+
+# --------------------------------------------------------------------------
+# the arrays against a dict-of-last-accepted oracle
+
+coord = st.floats(-1e3, 1e3, allow_nan=False)
+vec = st.tuples(coord, coord)
+
+
+@st.composite
+def delivery_runs(draw):
+    n = draw(st.integers(1, 4))
+    with_target = draw(st.booleans())
+    deliveries = draw(st.lists(
+        st.tuples(
+            st.integers(1, n),                        # receiver
+            st.integers(0 if with_target else 1, n),  # sender
+            st.floats(0.0, 10.0),                     # arrival
+            vec, vec,
+        ).filter(lambda d: d[0] != d[1]),
+        max_size=30,
+    ))
+    config = NetworkConfig(
+        extrapolate=draw(st.booleans()),
+        staleness_budget=draw(st.none() | st.floats(0.01, 10.0)),
+    )
+    init = [draw(st.tuples(vec, vec)) for _ in range(n + 1)]  # target first
+    return n, with_target, deliveries, config, init, draw(st.floats(0.0, 20.0))
+
+
+@given(delivery_runs())
+@settings(max_examples=200, deadline=None)
+def test_views_match_last_accepted_oracle(run):
+    n, with_target, deliveries, config, init, t = run
+    net = BroadcastNetwork(config, n)
+    tpos, tvel = init[0] if with_target else (None, None)
+    net.initialize([p for p, _ in init[1:]], [v for _, v in init[1:]], tpos, tvel)
+
+    # (receiver, sender) -> (arrival, position, velocity) of the last accepted delivery
+    last = {}
+    for receiver in range(1, n + 1):
+        for sender in range(0 if with_target else 1, n + 1):
+            if sender != receiver:
+                last[receiver, sender] = (0.0, *init[sender])
+    for receiver, sender, arrival, position, velocity in deliveries:
+        net.deliver(receiver, sender, arrival, position, velocity)
+        if arrival >= last.get((receiver, sender), (-math.inf,))[0]:
+            last[receiver, sender] = (arrival, position, velocity)
+
+    def seen(receiver, sender):
+        arrival, (px, py), (vx, vy) = last[receiver, sender]
+        age = t - arrival
+        if config.extrapolate:
+            px, py = px + vx * age, py + vy * age
+        stale = config.staleness_budget is not None and age > config.staleness_budget
+        return (px, py), (vx, vy), stale
+
+    speeds = [1.0 + a for a in range(n)]
+    for k in range(1, n + 1):
+        snap = net.snapshot_for_agent(k, (-5.0, 7.0), 0.25, speeds, t)
+        positions, headings, stale = [], [], []
+        for a in range(1, n + 1):
+            if a == k:
+                positions.append((-5.0, 7.0))
+                headings.append(0.25)
+                stale.append(False)
+                continue
+            pos, (vx, vy), is_stale = seen(k, a)
+            positions.append(pos)
+            headings.append(math.atan2(vy, vx))
+            stale.append(is_stale)
+        assert np.array_equal(snap.positions, np.array(positions).reshape(n, 2))
+        assert np.array_equal(snap.headings, headings)
+        assert np.array_equal(snap.stale, stale)
+        assert np.array_equal(snap.speeds, speeds)
+
+        pos, vel, t_stale = net.target_estimate(k, t)
+        if (k, TARGET_ID) in last:
+            exp_pos, exp_vel, exp_stale = seen(k, TARGET_ID)
+            assert tuple(pos) == exp_pos and tuple(vel) == exp_vel
+            assert t_stale is exp_stale
+        else:
+            assert (pos, vel, t_stale) == (None, None, False)

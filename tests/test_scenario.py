@@ -313,6 +313,30 @@ def test_bad_float():
     expect_error(text, "gamma = fast", "gamma: expected a number, got 'fast'")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("gamma = 0.01", "gamma = nan"),
+    ("dt = 0.02", "dt = inf"),
+    ("duration = 20", "duration = -inf"),
+    ("loss = 0.1", "loss = NaN"),
+    ("delay = 0.05", "delay = nan"),
+    ("mode = broadcast", "mode = broadcast\nagent_rate = nan"),
+    ("mode = broadcast", "mode = broadcast\nagent_rate = inf"),
+    ("staleness_budget = 0.5", "staleness_budget = inf"),
+])
+def test_non_finite_numbers_rejected(old, new):
+    text = TRACKING.replace(old, new)
+    assert text != TRACKING
+    value = new.rsplit("= ", 1)[1]
+    expect_error(text, new.rsplit("\n", 1)[-1], f"expected a finite number, got '{value}'")
+
+
+def test_non_finite_pair_and_weight_rejected():
+    text = TRACKING.replace("waypoint = 100, 0", "waypoint = 100, inf")
+    expect_error(text, "waypoint = 100, inf", "waypoint: expected a finite number, got 'inf'")
+    text = TRACKING.replace("weight = constant 0.5", "weight = constant nan")
+    expect_error(text, "weight = constant nan", "weight: expected a finite number, got 'nan'")
+
+
 def test_bad_int_seed():
     text = MINIMAL.replace("seed = 11", "seed = 3.5")
     expect_error(text, "seed = 3.5", "seed: expected an integer, got '3.5'")
@@ -427,6 +451,11 @@ def test_unknown_network_mode():
 def test_network_validation_bubbles():
     text = TRACKING.replace("loss = 0.1", "loss = 1.5")
     expect_error(text, "[network]", "loss_probability")
+
+
+def test_non_positive_staleness_budget_rejected():
+    text = TRACKING.replace("staleness_budget = 0.5", "staleness_budget = -1")
+    expect_error(text, "[network]", "staleness_budget must be positive")
 
 
 def test_infeasible_slow_agent_points_at_its_speed_line():
