@@ -18,7 +18,6 @@ from .analysis import (
     check_feasibility,
     classify_equilibrium,
     hessian,
-    lyapunov_V,
     order_parameter,
     perturbation_oracle,
     simulate_phase_flow,
@@ -26,16 +25,13 @@ from .analysis import (
 )
 from .controllers import (
     ControllerGains,
-    FeedforwardSolution,
     SpacingMode,
     build_A,
     control_terms,
     project_spacing_to_kernel,
     saturate,
-    solve_feedforward,
 )
 from .dynamics import (
-    Snapshot,
     rk4_unicycle_arrays,
     wrap_angle,
     wrap_angles,
@@ -57,7 +53,6 @@ from .reference import (
     ConstantVelocityTarget,
     ConstantWeight,
     DistanceDependentWeight,
-    ReferenceSignal,
     TurningTarget,
     WaypointTarget,
     reference_velocity,
@@ -79,15 +74,12 @@ __all__ = [
     "EquilibriumRejected",
     "EquilibriumSpec",
     "FeasibilityReport",
-    "FeedforwardSolution",
     "InfeasibleScenario",
     "NetworkConfig",
-    "ReferenceSignal",
     "RunLog",
     "ScenarioConfig",
     "ScenarioError",
     "SimulationAborted",
-    "Snapshot",
     "SpacingMode",
     "StabilityVerdict",
     "TargetTracking",
@@ -101,7 +93,6 @@ __all__ = [
     "control_terms",
     "counter_uniform",
     "hessian",
-    "lyapunov_V",
     "order_parameter",
     "parse_scenario",
     "parse_scenario_text",
@@ -113,7 +104,6 @@ __all__ = [
     "run_oracle_centroid",
     "saturate",
     "simulate_phase_flow",
-    "solve_feedforward",
     "target_state",
     "tracking_metrics",
     "wrap_angle",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot, norm, wrap_angle
+from .dynamics import norm, wrap_angle
 
 ZERO_EIG_REL_TOL = 1e-9
 
@@ -74,12 +74,6 @@ def check_feasibility(speeds, ref_speed_bound: float) -> FeasibilityReport:
 
 # --------------------------------------------------------------------------
 # Lyapunov metrics
-
-
-def lyapunov_V(snapshot: Snapshot, ref_velocity) -> float:
-    """V = 0.5 * ||centroid velocity - reference velocity||^2."""
-    err = snapshot.centroid_velocity() - np.asarray(ref_velocity, dtype=float)
-    return 0.5 * float(err @ err)
 
 
 def headings_V(speeds, headings, ref_velocity) -> np.ndarray:

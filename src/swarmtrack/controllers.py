@@ -1,7 +1,9 @@
 """Heading-rate control laws.
 
-Three stacked terms per agent, each a pure function of a snapshot and the
-reference signal:
+Three stacked terms per agent, each a pure function of a view of the group
+(speeds, headings and positions as arrays) and the reference tuple
+`(position, velocity, rhs, beacon_velocity)` built by
+`reference.reference_signal`:
 
 * a velocity-tracking term, the gradient flow of V = 0.5*||rhat_dot - ref||^2
   in the headings;
@@ -13,7 +15,7 @@ reference signal:
   beacon is led along the point's steady velocity so that the orbits centre
   on the point instead of trailing it (see `beacon_lead`).
 
-`control_terms` evaluates all three for every agent of a snapshot at once.
+`control_terms` evaluates all three for every agent of a view at once.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dynamics import Snapshot
-from .reference import ReferenceSignal
 
 
 class SpacingMode(enum.Enum):
@@ -59,41 +58,24 @@ class ControllerGains:
             raise ValueError("u_max must be positive when set")
 
 
-@dataclass(frozen=True)
-class FeedforwardSolution:
-    """Minimum-norm solution of A h = b, or the zero fallback when A is rank-deficient."""
-
-    h: np.ndarray
-    residual: float
-    rank_ok: bool
-
-
-def _u_velocity(snapshot: Snapshot, ref_velocity, gamma: float) -> np.ndarray:
-    """Velocity-tracking heading rate of every agent in the snapshot.
-
-    u_k = -gamma * < rhat_dot - ref_velocity, i v_k e^{i th_k} >, the gradient
-    flow of V = 0.5 ||rhat_dot - ref_velocity||^2, which yields
-    Vdot = -(gamma/n) * sum_k <.,.>^2 along the closed loop.
-    """
-    err = snapshot.centroid_velocity() - np.asarray(ref_velocity, dtype=float)
-    v, th = snapshot.speeds, snapshot.headings
-    bracket = -err[0] * v * np.sin(th) + err[1] * v * np.cos(th)
-    return -gamma * bracket
-
-
-def build_A(snapshot: Snapshot) -> np.ndarray:
+def build_A(speeds, headings) -> np.ndarray:
     """2 x n matrix with column k = (1/n) * i v_k e^{i th_k}.
 
     A maps stacked heading rates to the induced centroid acceleration, so the
     feedforward condition is A h = b.
     """
-    v, th = snapshot.speeds, snapshot.headings
-    n = snapshot.n
-    return np.array([-v * np.sin(th), v * np.cos(th)]) / n
+    speeds = np.asarray(speeds, dtype=float)
+    headings = np.asarray(headings, dtype=float)
+    return _A(speeds * np.cos(headings), speeds * np.sin(headings))
 
 
-def _gram_solve(A: np.ndarray, rhs: np.ndarray):
-    """Solve (A A^T) x = rhs for the 2x2 Gram matrix; returns (x, smin, ok).
+def _A(vc: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """A from the heading-vector components vc = v cos th and vs = v sin th."""
+    return np.array([-vs, vc]) / len(vc)
+
+
+def _gram_solve(A: np.ndarray, rhs):
+    """Solve (A A^T) x = rhs (a 2-sequence) for the 2x2 Gram matrix; returns (x, smin, ok).
 
     Explicit 2x2 arithmetic: cheap, allocation-free, and exact to rounding.
     smin is the smaller singular value of A.
@@ -120,38 +102,6 @@ def _gram_solve(A: np.ndarray, rhs: np.ndarray):
     return x, smin, True
 
 
-def feedforward_rhs(ref: ReferenceSignal) -> np.ndarray:
-    """Right-hand side b of the feedforward system.
-
-    The turn-rate part kappa_ref * i * ref_velocity plus the speed-rate part
-    a_ref * e^{i theta_ref}.
-    """
-    c, s = math.cos(ref.theta_ref), math.sin(ref.theta_ref)
-    b = np.array([-ref.v_ref * s * ref.kappa_ref, ref.v_ref * c * ref.kappa_ref])
-    b += ref.a_ref * np.array([c, s])
-    return b
-
-
-def solve_feedforward(snapshot: Snapshot, ref: ReferenceSignal) -> FeedforwardSolution:
-    """Minimum-2-norm h with A h = b.
-
-    h = A^T (A A^T)^{-1} b via the 2x2 normal equations. When the smaller
-    singular value of A is below tolerance (all headings aligned mod pi) the
-    system may be unsolvable; h = 0 is returned with rank_ok = False rather
-    than raising, since such configurations are unstable equilibria the closed
-    loop escapes on its own.
-    """
-    A = build_A(snapshot)
-    b = feedforward_rhs(ref)
-    x, _, ok = _gram_solve(A, b)
-    if not ok:
-        h = np.zeros(snapshot.n)
-        return FeedforwardSolution(h=h, residual=float(np.linalg.norm(b)), rank_ok=False)
-    h = A.T @ x
-    residual = float(np.linalg.norm(A @ h - b))
-    return FeedforwardSolution(h=h, residual=residual, rank_ok=True)
-
-
 def beacon_lead(speeds, gamma: float):
     """Time lead 2 / (gamma v_k^2) of each vehicle's beacon, in seconds.
 
@@ -164,24 +114,6 @@ def beacon_lead(speeds, gamma: float):
     reference point itself.
     """
     return (2.0 / gamma) / (speeds * speeds)
-
-
-def _spacing_raw(
-    snapshot: Snapshot, ref_position, gains: ControllerGains, beacon_velocity=None
-) -> np.ndarray:
-    """Beacon spacing law for every agent in the snapshot.
-
-    u_k = -(omega0 + gamma * omega0 * <r_k - b_k, v_k e^{i th_k}>) with the
-    beacon b_k = r_ref + beacon_lead(v_k, gamma) * beacon_velocity (b_k = r_ref
-    when beacon_velocity is None). Alone it settles each vehicle onto a
-    clockwise orbit of bounded radius about the reference point, also while
-    the point moves at beacon_velocity.
-    """
-    rel = snapshot.positions - np.asarray(ref_position, dtype=float)
-    if beacon_velocity is not None:
-        rel -= beacon_lead(snapshot.speeds, gains.gamma)[:, None] * beacon_velocity
-    inner = (rel * snapshot.heading_vectors()).sum(axis=1)
-    return -(gains.omega0 + gains.gamma * gains.omega0 * inner)
 
 
 def project_spacing_to_kernel(u_spacing: np.ndarray, A: np.ndarray):
@@ -198,32 +130,60 @@ def project_spacing_to_kernel(u_spacing: np.ndarray, A: np.ndarray):
     return u_spacing - A.T @ x, True
 
 
-def control_terms(snapshot: Snapshot, ref: ReferenceSignal, gains: ControllerGains):
-    """(u_vel, h, u_spc): the three control terms for every agent, as arrays.
+def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
+    """(u_vel, h, u_spc): the three control terms for every agent of a view, as arrays.
 
-    Computes the shared pieces (centroid velocity, A, the projected spacing
-    vector) once. The total command is u_vel + h + u_spc.
+    speeds and headings are (n,) arrays and positions an (n, 2) array; ref is
+    the tuple (position, velocity, rhs, beacon_velocity) of
+    `reference.reference_signal`. The heading trig, the centroid velocity and
+    A are computed once and shared. The total command is u_vel + h + u_spc.
+
+    * u_vel_k = -gamma * < rhat_dot - ref_velocity, i v_k e^{i th_k} >, the
+      gradient flow of V = 0.5 ||rhat_dot - ref_velocity||^2, which yields
+      Vdot = -(gamma/n) * sum_k <.,.>^2 along the closed loop.
+    * h is the minimum-2-norm solution A^T (A A^T)^{-1} b of A h = b, from
+      the 2x2 normal equations. It is 0 when rhs is None (no turn and no speed
+      change), when feedforward is off, and when the smaller singular value of
+      A is below tolerance (headings aligned mod pi): such configurations are
+      unstable equilibria the closed loop escapes on its own.
+    * u_spc_k = -(omega0 + gamma * omega0 * <r_k - b_k, v_k e^{i th_k}>) with
+      the beacon b_k = r_ref + beacon_lead(v_k, gamma) * beacon_velocity
+      (b_k = r_ref when beacon_velocity is None). Alone it settles each
+      vehicle onto a clockwise orbit of bounded radius about the reference
+      point, also while the point moves at beacon_velocity. In
+      BEACON_PROJECTED mode it is projected into ker(A).
     """
-    u_vel = _u_velocity(snapshot, ref.velocity, gains.gamma)
+    ref_position, ref_velocity, rhs, beacon_velocity = ref
+    n = len(speeds)
+    c = np.cos(headings)
+    s = np.sin(headings)
+    vc = speeds * c
+    vs = speeds * s
+    ex = vc.sum() / n - ref_velocity[0]
+    ey = vs.sum() / n - ref_velocity[1]
+    u_vel = -gains.gamma * ((-ex * speeds) * s + (ey * speeds) * c)
 
     A = None
     h = None
-    if gains.feedforward and (ref.kappa_ref != 0.0 or ref.a_ref != 0.0):
-        # the minimum-norm h of `solve_feedforward`, without its residual
-        A = build_A(snapshot)
-        x, _, ok = _gram_solve(A, feedforward_rhs(ref))
+    if gains.feedforward and rhs is not None:
+        A = _A(vc, vs)
+        x, _, ok = _gram_solve(A, rhs)
         if ok:
             h = A.T @ x
     if h is None:
-        h = np.zeros(snapshot.n)
+        h = np.zeros(n)
 
     mode = gains.spacing_mode
     if mode is SpacingMode.OFF:
-        u_spc = np.zeros(snapshot.n)
+        u_spc = np.zeros(n)
     else:
-        u_spc = _spacing_raw(snapshot, ref.position, gains, ref.beacon_velocity)
+        rel = positions - ref_position
+        if beacon_velocity is not None:
+            rel -= beacon_lead(speeds, gains.gamma)[:, None] * beacon_velocity
+        inner = rel[:, 0] * vc + rel[:, 1] * vs
+        u_spc = -(gains.omega0 + gains.gamma * gains.omega0 * inner)
         if mode is SpacingMode.BEACON_PROJECTED:
-            u_spc, _ = project_spacing_to_kernel(u_spc, build_A(snapshot) if A is None else A)
+            u_spc, _ = project_spacing_to_kernel(u_spc, _A(vc, vs) if A is None else A)
     return u_vel, h, u_spc
 
 

@@ -1,4 +1,4 @@
-"""Planar vector helpers, the controller's snapshot view, and the fixed-step integrator.
+"""Planar vector helpers, angle wrapping, and the fixed-step integrator.
 
 Positions and velocities live in the plane and are treated as real 2-vectors;
 where the math is naturally complex (headings as phases e^{i theta}), the
@@ -9,7 +9,6 @@ needed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,52 +43,6 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     r = theta - TWO_PI * np.round(theta / TWO_PI)
     r = np.where(r <= -math.pi, r + TWO_PI, r)
     return r
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """What a controller sees: one (speed, heading, position) row per agent.
-
-    In ground-truth mode this is the exact swarm state; in networked mode it is
-    assembled from what an agent last received, and entries may be stale
-    (flagged in `stale`). Controllers only ever read this view, so they are indifferent
-    to where it came from.
-    """
-
-    speeds: np.ndarray
-    headings: np.ndarray
-    positions: np.ndarray
-    stale: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "speeds", np.asarray(self.speeds, dtype=float))
-        object.__setattr__(self, "headings", np.asarray(self.headings, dtype=float))
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        if self.stale is None:
-            object.__setattr__(self, "stale", np.zeros(len(self.speeds), dtype=bool))
-
-    @property
-    def n(self) -> int:
-        return len(self.speeds)
-
-    def heading_vectors(self) -> np.ndarray:
-        """(n, 2) array of v_k e^{i th_k}."""
-        return (self.speeds * np.array([np.cos(self.headings), np.sin(self.headings)])).T
-
-    # sum / n is bit-identical to ndarray.mean (which sums, then divides)
-    # without its per-call overhead; these run once per agent per step.
-    def centroid(self) -> np.ndarray:
-        return self.positions.sum(axis=0) / self.n
-
-    def centroid_velocity(self) -> np.ndarray:
-        """Average linear momentum (1/n) sum_k v_k e^{i th_k}."""
-        n = self.n
-        return np.array(
-            [
-                (self.speeds * np.cos(self.headings)).sum() / n,
-                (self.speeds * np.sin(self.headings)).sum() / n,
-            ]
-        )
 
 
 def rk4_unicycle_arrays(x, y, th, speeds, u, dt):

@@ -16,16 +16,16 @@ import numpy as np
 
 from .analysis import check_feasibility, FeasibilityReport
 from .controllers import ControllerGains, control_terms, saturate
-from .dynamics import Snapshot, rk4_unicycle_arrays, vec2, wrap_angle
+from .dynamics import rk4_unicycle_arrays, vec2, wrap_angle
 from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
     ConstantWeight,
-    ReferenceSignal,
     TargetProgram,
     WeightFunction,
     polar_velocity,
     reference_kinematics,
     reference_rates,
+    reference_signal,
     reference_velocity,
     target_state,
 )
@@ -66,6 +66,10 @@ class TurningRef:
     kappa: float
     heading0: float = 0.0
 
+    def __post_init__(self):
+        if self.speed < 0.0:
+            raise ValueError(f"turning-reference speed must be non-negative, got {self.speed}")
+
     def speed_bound(self) -> float:
         return self.speed
 
@@ -103,6 +107,11 @@ class ScenarioConfig:
             raise ValueError("at least one agent required")
         if self.dt <= 0.0 or self.duration <= 0.0:
             raise ValueError("dt and duration must be positive")
+        if self.steps < 1:
+            raise ValueError(
+                f"duration {self.duration} s is at most half a step of dt = {self.dt} s: "
+                "the run would have no steps"
+            )
         if isinstance(self.reference_mode, TargetTracking):
             if self.target is None or self.weight is None:
                 raise ValueError("target tracking requires a target program and a weight function")
@@ -114,8 +123,12 @@ class ScenarioConfig:
         return len(self.agents)
 
     @property
+    def steps(self) -> int:
+        return int(round(self.duration / self.dt))
+
+    @property
     def speeds(self) -> np.ndarray:
-        return np.array([a.speed for a in self.agents])
+        return np.array([a.speed for a in self.agents], dtype=float)
 
     def ref_speed_bound(self) -> float:
         if isinstance(self.reference_mode, TargetTracking):
@@ -257,8 +270,9 @@ class _RefStream:
     velocity or in a network estimate reset the reference instead of
     feeding an impulse to the feedforward term.
 
-    The reference point is the integral of v_ref. The beacon spacing term
-    leads it along the target's velocity (`ReferenceSignal.beacon_velocity`).
+    The reference point is the integral of v_ref. `sample` returns the
+    `reference_signal` tuple, whose beacon_velocity is the target's velocity:
+    the beacon spacing term leads the reference point along it.
     """
 
     def __init__(self, position0):
@@ -266,7 +280,7 @@ class _RefStream:
         self._vel = (0.0, 0.0)
         self._theta = 0.0
 
-    def sample(self, target_pos, target_vel, target_acc, centroid, weight) -> ReferenceSignal:
+    def sample(self, target_pos, target_vel, target_acc, centroid, weight):
         """Reference at the current step; planar inputs are (x, y) float pairs."""
         vel, vdot = reference_kinematics(target_pos, target_vel, target_acc, centroid, weight)
         v = math.hypot(vel[0], vel[1])
@@ -274,10 +288,7 @@ class _RefStream:
             self._theta = math.atan2(vel[1], vel[0])
         kappa, a = reference_rates(vel, vdot)
         self._vel = vel
-        return ReferenceSignal(
-            position=self.position, v_ref=v, theta_ref=self._theta, kappa_ref=kappa, a_ref=a,
-            beacon_velocity=target_vel,
-        )
+        return reference_signal(self.position, v, self._theta, kappa, a, target_vel)
 
     def advance(self, dt: float):
         self.position = self.position + np.array(self._vel) * dt
@@ -290,14 +301,12 @@ class _ClosedFormRef:
         self.mode = mode
         self.p0 = np.asarray(position0, dtype=float).copy()
 
-    def signal(self, t: float) -> ReferenceSignal:
+    def signal(self, t: float):
+        """The `reference_signal` tuple at time t."""
         if isinstance(self.mode, ConstantRef):
             vel = self.mode.velocity
             v, th = polar_velocity(vel)
-            return ReferenceSignal(
-                position=self.p0 + t * vel, v_ref=v, theta_ref=th, kappa_ref=0.0, a_ref=0.0,
-                beacon_velocity=vel,
-            )
+            return reference_signal(self.p0 + t * vel, v, th, 0.0, 0.0, vel)
         m: TurningRef = self.mode
         th = m.heading0 + m.kappa * t
         if m.kappa == 0.0:
@@ -307,9 +316,9 @@ class _ClosedFormRef:
             pos = self.p0 + r * np.array(
                 [math.sin(th) - math.sin(m.heading0), math.cos(m.heading0) - math.cos(th)]
             )
-        return ReferenceSignal(
-            position=pos, v_ref=m.speed, theta_ref=wrap_angle(th), kappa_ref=m.kappa, a_ref=0.0,
-            beacon_velocity=m.speed * np.array([math.cos(th), math.sin(th)]),
+        return reference_signal(
+            pos, m.speed, wrap_angle(th), m.kappa, 0.0,
+            m.speed * np.array([math.cos(th), math.sin(th)]),
         )
 
 
@@ -329,7 +338,7 @@ def run(config: ScenarioConfig) -> RunLog:
         raise InfeasibleScenario(report)
 
     n, dt = config.n, config.dt
-    steps = int(round(config.duration / dt))
+    steps = config.steps
     gains = config.gains
     speeds = config.speeds
     x = np.array([a.position[0] for a in config.agents])
@@ -371,9 +380,9 @@ def run(config: ScenarioConfig) -> RunLog:
             tgt_pos = tgt_vel = tgt_acc = None
 
         positions = np.column_stack((x, y))
-        true_snap = Snapshot(speeds=speeds, headings=th, positions=positions)
-        true_centroid = true_snap.centroid()
-        true_cvel = true_snap.centroid_velocity()
+        # sum / n is bit-identical to ndarray.mean without its per-call overhead
+        true_centroid = positions.sum(axis=0) / n
+        true_cvel = np.array([(speeds * np.cos(th)).sum() / n, (speeds * np.sin(th)).sum() / n])
         stale_seen = 0
 
         # Observer reference (always computed from ground truth; logged).
@@ -386,25 +395,27 @@ def run(config: ScenarioConfig) -> RunLog:
             obs_ref = closed_ref.signal(t)
 
         if net is None:
-            u_vel_arr[:], u_h_arr[:], u_spc_arr[:] = control_terms(true_snap, obs_ref, gains)
+            u_vel_arr[:], u_h_arr[:], u_spc_arr[:] = control_terms(
+                speeds, th, positions, obs_ref, gains
+            )
             np.add(u_vel_arr, u_h_arr, out=u_tot_arr)
             u_tot_arr += u_spc_arr
         else:
             for k in range(1, n + 1):
-                snap_k = net.snapshot_for_agent(k, positions[k - 1], th[k - 1], speeds, t)
-                stale_seen += int(snap_k.stale.sum())
+                th_k, pos_k, stale_k = net.snapshot_for_agent(k, positions[k - 1], th[k - 1], t)
+                stale_seen += int(stale_k.sum())
                 if tracking:
                     tp, tv, t_stale = net.target_estimate(k, t)
                     stale_seen += int(t_stale)
                     # Broadcasts carry no acceleration, so agents take a_T = 0.
                     ref_k = agent_streams[k - 1].sample(
-                        tp.tolist(), tv.tolist(), _ZERO_ACC, snap_k.centroid().tolist(),
+                        tp.tolist(), tv.tolist(), _ZERO_ACC, (pos_k.sum(axis=0) / n).tolist(),
                         config.weight,
                     )
                 else:
                     ref_k = obs_ref
                 # each agent keeps its own row of its view's control terms
-                u_vel, h, u_spc = control_terms(snap_k, ref_k, gains)
+                u_vel, h, u_spc = control_terms(speeds, th_k, pos_k, ref_k, gains)
                 u_vel_arr[k - 1] = u_vel[k - 1]
                 u_h_arr[k - 1] = h[k - 1]
                 u_spc_arr[k - 1] = u_spc[k - 1]
@@ -429,8 +440,8 @@ def run(config: ScenarioConfig) -> RunLog:
         log.u_total[m] = u_tot_arr
         log.centroid[m] = true_centroid
         log.centroid_vel[m] = true_cvel
-        log.ref_pos[m] = obs_ref.position
-        log.ref_vel[m] = obs_ref.velocity
+        log.ref_pos[m] = obs_ref[0]
+        log.ref_vel[m] = obs_ref[1]
         if config.target is not None:
             log.target_pos[m] = tgt_pos
             log.target_vel[m] = tgt_vel
@@ -441,7 +452,7 @@ def run(config: ScenarioConfig) -> RunLog:
             log.target_pos[m] = (math.nan, math.nan)
             log.target_vel[m] = (math.nan, math.nan)
             log.beta_norm[m] = math.nan
-        err = true_cvel - obs_ref.velocity
+        err = true_cvel - obs_ref[1]
         log.alpha_norm[m] = math.hypot(err[0], err[1])
         log.V[m] = 0.5 * float(err @ err)
         log.dist_to_centroid[m] = np.hypot(x - true_centroid[0], y - true_centroid[1])
@@ -492,7 +503,7 @@ def run_oracle_centroid(config: ScenarioConfig) -> RunLog:
     if not isinstance(config.reference_mode, TargetTracking):
         raise ValueError("the centroid oracle only makes sense for target-tracking configs")
     n, dt = config.n, config.dt
-    steps = int(round(config.duration / dt))
+    steps = config.steps
     speeds = config.speeds
     x0 = np.array([a.position[0] for a in config.agents])
     y0 = np.array([a.position[1] for a in config.agents])

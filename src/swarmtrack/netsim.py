@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot
-
 _MASK = (1 << 64) - 1
 
 # Draw purposes (salts). Disturbance shares the RNG but lives in the engine.
@@ -213,14 +211,14 @@ class BroadcastNetwork:
             arrival, sender, _, receiver, (position, velocity, heading) = heapq.heappop(pending)
             self.deliver(receiver, sender, arrival, position, velocity, heading)
 
-    def snapshot_for_agent(self, k: int, own_position, own_heading, speeds, t: float) -> Snapshot:
-        """Build the n-agent controller snapshot from agent k's row.
+    def snapshot_for_agent(self, k: int, own_position, own_heading, t: float):
+        """Agent k's view of the group as arrays: (headings, positions, stale).
 
         The owner contributes its true local state. Neighbors contribute their
         last-received position, dead-reckoned along the received velocity when
-        extrapolation is on, and the heading of that velocity; the speed comes
-        from static scenario knowledge (cruising speeds are constants known to
-        the whole team). Entries older than the staleness budget are flagged.
+        extrapolation is on, and the heading of that velocity. Speeds are not
+        part of the view: cruising speeds are constants known to the whole
+        team. Entries older than the staleness budget are flagged in stale.
         """
         cfg = self.config
         row = k - 1
@@ -236,12 +234,7 @@ class BroadcastNetwork:
         pos[row] = own_position
         headings = self.heading[row, 1:].copy()
         headings[row] = own_heading
-        return Snapshot(
-            speeds=np.asarray(speeds, dtype=float),
-            headings=headings,
-            positions=pos,
-            stale=stale,
-        )
+        return headings, pos, stale
 
     def target_estimate(self, k: int, t: float):
         """Last-received target (position, velocity, stale flag) for agent k."""

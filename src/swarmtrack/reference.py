@@ -211,41 +211,29 @@ def target_state(program: TargetProgram, t: float):
 
 
 # --------------------------------------------------------------------------
-# Reference signal
+# Reference velocity
 
 
-@dataclass(frozen=True)
-class ReferenceSignal:
-    """Reference trajectory sample: position, polar velocity, and its rates.
+def reference_signal(position, v_ref, theta_ref, kappa_ref=0.0, a_ref=0.0,
+                     beacon_velocity=None):
+    """The reference as the controller reads it: (position, velocity, rhs, beacon_velocity).
 
-    kappa_ref is the reference heading rate (rad/s) and a_ref the reference
-    speed rate (m/s^2); both feed the feedforward solve. beacon_velocity is
-    the velocity the reference point keeps once the group tracks it (the
-    target's velocity in tracking mode); the beacon spacing term leads the
-    reference point by the orbit lag this motion causes. None: no lead.
+    Takes the polar form of the reference velocity, v_ref * e^{i theta_ref},
+    its turn rate kappa_ref (rad/s) and its speed rate a_ref (m/s^2). velocity
+    is the (x, y) pair of v_ref * e^{i theta_ref}. rhs is the right-hand side
+    b of the feedforward system A h = b, the turn-rate part
+    kappa_ref * i * velocity plus the speed-rate part a_ref * e^{i theta_ref};
+    it is None when both rates are 0, so the controller skips the solve.
+    position and beacon_velocity are passed through: beacon_velocity is the
+    velocity the reference point keeps once the group tracks it (the target's
+    velocity in tracking mode), along which the beacon spacing term leads the
+    reference point. None: no lead.
     """
-
-    position: np.ndarray
-    v_ref: float
-    theta_ref: float
-    kappa_ref: float = 0.0
-    a_ref: float = 0.0
-    beacon_velocity: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if self.beacon_velocity is not None:
-            object.__setattr__(
-                self, "beacon_velocity", np.asarray(self.beacon_velocity, dtype=float)
-            )
-        if self.v_ref < 0.0:
-            raise ValueError("v_ref must be non-negative")
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return vec2(
-            self.v_ref * math.cos(self.theta_ref), self.v_ref * math.sin(self.theta_ref)
-        )
+    c, s = math.cos(theta_ref), math.sin(theta_ref)
+    rhs = None
+    if kappa_ref != 0.0 or a_ref != 0.0:
+        rhs = (-v_ref * s * kappa_ref + a_ref * c, v_ref * c * kappa_ref + a_ref * s)
+    return position, (v_ref * c, v_ref * s), rhs, beacon_velocity
 
 
 def polar_velocity(velocity):

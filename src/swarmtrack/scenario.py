@@ -194,7 +194,7 @@ def _build_target(sec: _Section | None):
         y = _parse_float(sec.require("y"), "target y")
         vx = _parse_float(sec.require("vx"), "target vx")
         vy = _parse_float(sec.require("vy"), "target vy")
-        target = ConstantVelocityTarget(initial_position=(x, y), velocity=(vx, vy))
+        cls, kwargs = ConstantVelocityTarget, dict(initial_position=(x, y), velocity=(vx, vy))
     elif program == "turning":
         x = _parse_float(sec.require("x"), "target x")
         y = _parse_float(sec.require("y"), "target y")
@@ -202,7 +202,8 @@ def _build_target(sec: _Section | None):
         kappa = _parse_float(sec.require("kappa"), "target kappa")
         h = sec.get("heading")
         heading0 = _parse_float(h, "target heading") if h else 0.0
-        target = TurningTarget(initial_position=(x, y), speed=speed, kappa=kappa, heading0=heading0)
+        cls = TurningTarget
+        kwargs = dict(initial_position=(x, y), speed=speed, kappa=kappa, heading0=heading0)
     elif program == "waypoints":
         speed = _parse_float(sec.require("speed"), "target speed")
         d = sec.get("dwell")
@@ -213,17 +214,18 @@ def _build_target(sec: _Section | None):
         if not wp_entries:
             raise ScenarioError("waypoints program needs at least one 'waypoint = x y'", sec.line)
         waypoints = [_parse_pair(e, "waypoint") for e in wp_entries]
-        try:
-            target = WaypointTarget(waypoints=waypoints, speed=speed, dwell=dwell, closed=closed)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), sec.line) from None
+        cls = WaypointTarget
+        kwargs = dict(waypoints=waypoints, speed=speed, dwell=dwell, closed=closed)
     else:
         raise ScenarioError(
             f"unknown target program '{program}' (constant_velocity | turning | waypoints)",
             sec.require("program").line,
         )
     sec.check_no_unknown()
-    return target
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), sec.line) from None
 
 
 def _build_weight(entry: _Entry):
@@ -286,7 +288,10 @@ def _build_reference(sec: _Section | None):
         kappa = _parse_float(sec.require("kappa"), "reference kappa")
         h = sec.get("heading")
         heading0 = _parse_float(h, "reference heading") if h else 0.0
-        ref = TurningRef(speed=speed, kappa=kappa, heading0=heading0)
+        try:
+            ref = TurningRef(speed=speed, kappa=kappa, heading0=heading0)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), sec.line) from None
     elif mode == "target_tracking":
         ref = TargetTracking()
         weight = _build_weight(sec.require("weight"))
@@ -351,9 +356,16 @@ def parse_scenario_text(text: str, seed_override: int | None = None,
     sim = singles.get("sim")
     if sim is None:
         raise ScenarioError("missing [sim] section")
-    duration = _parse_float(sim.require("duration"), "duration")
+    duration_entry = sim.require("duration")
+    duration = _parse_float(duration_entry, "duration")
     e = sim.get("dt")
     dt = _parse_float(e, "dt") if e else 0.01
+    if dt > 0.0 and round(duration / dt) < 1:
+        raise ScenarioError(
+            f"duration {duration} s gives no steps of dt = {dt} s "
+            "(it must exceed half a step)",
+            duration_entry.line,
+        )
     e = sim.get("seed")
     seed = _parse_int(e, "seed") if e else 0
     e = sim.get("disturbance")

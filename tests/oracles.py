@@ -8,15 +8,32 @@ import math
 
 import numpy as np
 
-from swarmtrack.dynamics import Snapshot
 
-
-def random_snapshot(rng, n):
-    return Snapshot(
-        speeds=rng.uniform(0.5, 3.0, n),
-        headings=rng.uniform(-math.pi, math.pi, n),
-        positions=rng.uniform(-20.0, 20.0, (n, 2)),
+def random_view(rng, n):
+    """A random view of n vehicles: (speeds, headings, positions) arrays."""
+    return (
+        rng.uniform(0.5, 3.0, n),
+        rng.uniform(-math.pi, math.pi, n),
+        rng.uniform(-20.0, 20.0, (n, 2)),
     )
+
+
+def centroid_velocity(speeds, headings) -> np.ndarray:
+    """Average linear momentum (1/n) sum_k v_k e^{i th_k}.
+
+    Summed as `control_terms` sums it, so the laws below agree with it bit
+    for bit where a test asks for that.
+    """
+    speeds = np.asarray(speeds, dtype=float)
+    headings = np.asarray(headings, dtype=float)
+    n = len(speeds)
+    return np.array([(speeds * np.cos(headings)).sum() / n, (speeds * np.sin(headings)).sum() / n])
+
+
+def lyapunov_V(speeds, headings, ref_velocity) -> float:
+    """V = 0.5 * ||centroid velocity - reference velocity||^2 for one heading row."""
+    err = centroid_velocity(speeds, headings) - np.asarray(ref_velocity, dtype=float)
+    return 0.5 * float(err @ err)
 
 
 def scalar_product(a, b) -> float:
@@ -36,22 +53,22 @@ def rotate90(a) -> np.ndarray:
     return np.array([-a[1], a[0]])
 
 
-def u_velocity(snapshot: Snapshot, k: int, ref_velocity, gamma: float) -> float:
-    """Velocity-tracking heading rate for agent k (0-based index into the snapshot).
+def u_velocity(speeds, headings, k: int, ref_velocity, gamma: float) -> float:
+    """Velocity-tracking heading rate for agent k (0-based index into the view).
 
     u_k = -gamma * < rhat_dot - ref_velocity, i v_k e^{i th_k} >.
     """
-    err = snapshot.centroid_velocity() - np.asarray(ref_velocity, dtype=float)
-    v, th = snapshot.speeds[k], snapshot.headings[k]
+    err = centroid_velocity(speeds, headings) - np.asarray(ref_velocity, dtype=float)
+    v, th = speeds[k], headings[k]
     # <err, i v e^{i th}> = err_x * (-v sin th) + err_y * (v cos th)
     bracket = -err[0] * v * math.sin(th) + err[1] * v * math.cos(th)
     return -gamma * bracket
 
 
-def u_velocity_real_form(snap, k, v_ref, th_ref, gamma):
+def u_velocity_real_form(speeds, headings, k, v_ref, th_ref, gamma):
     """Same law written out in sines of heading differences."""
-    v, th = snap.speeds, snap.headings
-    n = snap.n
+    v, th = speeds, headings
+    n = len(speeds)
     pair = sum(v[k] * v[j] * math.sin(th[j] - th[k]) for j in range(n))
     return -gamma / n * pair + gamma * v[k] * v_ref * math.sin(th_ref - th[k])
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import random_snapshot, rotate90, scalar_product, u_velocity_real_form
+from oracles import random_view, rotate90, scalar_product, u_velocity_real_form
 from test_analysis import assert_oracle_agreement, draw_equilibrium_specs
 from test_engine import THREE, logs_equal
 
@@ -29,10 +29,8 @@ from swarmtrack.controllers import (
     SpacingMode,
     build_A,
     control_terms,
-    feedforward_rhs,
-    solve_feedforward,
 )
-from swarmtrack.dynamics import Snapshot, norm
+from swarmtrack.dynamics import norm
 from swarmtrack.engine import (
     AgentInit,
     ConstantRef,
@@ -43,7 +41,7 @@ from swarmtrack.engine import (
     run_oracle_centroid,
 )
 from swarmtrack.netsim import NetworkConfig
-from swarmtrack.reference import ConstantVelocityTarget, ConstantWeight, ReferenceSignal
+from swarmtrack.reference import ConstantVelocityTarget, ConstantWeight, reference_signal
 from swarmtrack.scenario import parse_scenario_text
 
 SPEEDS = (10.0, 12.0, 16.0)
@@ -114,23 +112,22 @@ def test_feedforward_solutions_exact_and_minimum_norm():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        snap = random_snapshot(rng, n)
-        ref = ReferenceSignal(
-            position=(0.0, 0.0),
-            v_ref=float(rng.uniform(0.1, 2.0)),
-            theta_ref=float(rng.uniform(-math.pi, math.pi)),
+        speeds, headings, positions = random_view(rng, n)
+        ref = reference_signal(
+            np.zeros(2),
+            float(rng.uniform(0.1, 2.0)),
+            float(rng.uniform(-math.pi, math.pi)),
             kappa_ref=float(rng.uniform(-0.5, 0.5)),
             a_ref=float(rng.normal(0.0, 0.3)),
         )
-        sol = solve_feedforward(snap, ref)
-        assert sol.rank_ok
-        A = build_A(snap)
-        b = feedforward_rhs(ref)
-        assert np.linalg.norm(A @ sol.h - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
+        h = control_terms(speeds, headings, positions, ref, ControllerGains(gamma=0.1))[1]
+        A = build_A(speeds, headings)
+        b = np.array(ref[2])
+        assert np.linalg.norm(A @ h - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
         # adding any kernel component can only lengthen the solution
         z = rng.standard_normal(n)
         z -= np.linalg.pinv(A) @ (A @ z)
-        assert np.linalg.norm(sol.h + z) >= np.linalg.norm(sol.h) - 1e-12
+        assert np.linalg.norm(h + z) >= np.linalg.norm(h) - 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -289,28 +286,24 @@ def test_algebraic_identities_hold_at_1e_12():
                    - (norm(z1) * norm(z2)) ** 2) <= 1e-12 * scale**2
 
         n = int(rng.integers(1, 9))
-        snap = random_snapshot(rng, n)
+        speeds, headings, positions = random_view(rng, n)
         k = int(rng.integers(0, n))
         v_ref = float(rng.uniform(0.0, 2.0))
         th_ref = float(rng.uniform(-math.pi, math.pi))
         gamma = float(rng.uniform(0.1, 1.0))
         gains = ControllerGains(gamma=gamma)
-        ref = ReferenceSignal(position=(0.0, 0.0), v_ref=v_ref, theta_ref=th_ref)
-        u = control_terms(snap, ref, gains)[0][k]
+        ref = reference_signal(np.zeros(2), v_ref, th_ref)
+        u = control_terms(speeds, headings, positions, ref, gains)[0][k]
         # complex-product form == expanded heading-difference form
-        assert abs(u - u_velocity_real_form(snap, k, v_ref, th_ref, gamma)) <= 1e-12
+        assert abs(u - u_velocity_real_form(speeds, headings, k, v_ref, th_ref, gamma)) <= 1e-12
 
         # rotating the whole plane leaves every heading-rate command unchanged
         phi = float(rng.uniform(-math.pi, math.pi))
         c, s = math.cos(phi), math.sin(phi)
         R = np.array([[c, -s], [s, c]])
-        rotated = Snapshot(
-            speeds=snap.speeds,
-            headings=snap.headings + phi,
-            positions=snap.positions @ R.T,
-        )
-        ref_rotated = ReferenceSignal(position=(0.0, 0.0), v_ref=v_ref, theta_ref=th_ref + phi)
-        assert abs(control_terms(rotated, ref_rotated, gains)[0][k] - u) <= 1e-12
+        ref_rotated = reference_signal(np.zeros(2), v_ref, th_ref + phi)
+        u_rotated = control_terms(speeds, headings + phi, positions @ R.T, ref_rotated, gains)
+        assert abs(u_rotated[0][k] - u) <= 1e-12
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lyapunov_V
 from swarmtrack.analysis import (
     EquilibriumClass,
     EquilibriumRejected,
@@ -15,13 +16,11 @@ from swarmtrack.analysis import (
     classify_equilibrium,
     headings_V,
     hessian,
-    lyapunov_V,
     order_parameter,
     perturbation_oracle,
     simulate_phase_flow,
     tracking_metrics,
 )
-from swarmtrack.dynamics import Snapshot
 
 
 # --------------------------------------------------------------------------
@@ -81,11 +80,9 @@ def test_feasibility_input_validation():
 
 
 def test_lyapunov_values():
-    snap = Snapshot(speeds=[1.0], headings=[0.0], positions=np.zeros((1, 2)))
-    assert lyapunov_V(snap, (1.0, 0.0)) == 0.0
-    assert lyapunov_V(snap, (0.0, 0.0)) == 0.5
-    snap = Snapshot(speeds=[5.0], headings=[math.atan2(4.0, 3.0)], positions=np.zeros((1, 2)))
-    assert lyapunov_V(snap, (0.0, 0.0)) == pytest.approx(12.5, abs=1e-12)
+    assert headings_V([1.0], [0.0], (1.0, 0.0))[0] == 0.0
+    assert headings_V([1.0], [0.0], (0.0, 0.0))[0] == 0.5
+    assert headings_V([5.0], [math.atan2(4.0, 3.0)], (0.0, 0.0))[0] == pytest.approx(12.5, abs=1e-12)
 
 
 def test_headings_V_matches_scalar():
@@ -95,8 +92,7 @@ def test_headings_V_matches_scalar():
     batch = rng.uniform(-math.pi, math.pi, (6, 4))
     vec = headings_V(speeds, batch, ref)
     for row, v in zip(batch, vec):
-        snap = Snapshot(speeds=speeds, headings=row, positions=np.zeros((4, 2)))
-        assert v == pytest.approx(lyapunov_V(snap, ref), abs=1e-14)
+        assert v == pytest.approx(lyapunov_V(speeds, row, ref), abs=1e-14)
     assert np.all(vec >= 0.0)
 
 

@@ -281,6 +281,27 @@ def test_cli_run_parse_error_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, fragment, message", [
+    ("duration = 2\ndt = 0.02", "duration = 0.001\ndt = 0.02", "duration = 0.001", "gives no steps"),
+    ("[sim]", "[target]\nprogram = turning\nx = 0\ny = 0\nspeed = -2\nkappa = 0.1\n\n[sim]",
+     "[target]", "turning-target speed"),
+    ("mode = constant\nvx = 2\nvy = 0", "mode = turning\nspeed = -1\nkappa = 0.1",
+     "[reference]", "turning-reference speed"),
+], ids=["duration", "turning_target", "turning_reference"])
+def test_cli_run_invalid_value_exits_1_with_line(tmp_path, capsys, old, new, fragment, message):
+    text = SMALL.replace(old, new)
+    assert text != SMALL
+    line = next(i for i, l in enumerate(text.splitlines(), start=1) if fragment in l)
+    scenario = tmp_path / "bad.ini"
+    scenario.write_text(text, encoding="utf-8")
+    rc = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"line {line}: " in captured.err
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
     assert rc == 1

@@ -1,4 +1,4 @@
-"""Vector helpers, the snapshot view, and the fixed-step integrator."""
+"""Vector helpers, the group's centroid quantities, and the fixed-step integrator."""
 
 import math
 
@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import rotate90, scalar_product
-from swarmtrack.controllers import ControllerGains
-from swarmtrack.dynamics import Snapshot, rk4_unicycle_arrays, vec2, wrap_angle, wrap_angles
+from swarmtrack.controllers import ControllerGains, SpacingMode, control_terms
+from swarmtrack.dynamics import rk4_unicycle_arrays, vec2, wrap_angle, wrap_angles
 from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
+from swarmtrack.reference import reference_signal
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -117,17 +118,26 @@ def test_vehicle_state_wraps_heading():
 
 
 def test_snapshot_centroid_and_velocity():
-    snap = Snapshot(
-        speeds=[1.0, 2.0],
-        headings=[0.0, math.pi / 2],
-        positions=[[0.0, 0.0], [4.0, 2.0]],
-    )
-    np.testing.assert_allclose(snap.centroid(), [2.0, 1.0])
-    np.testing.assert_allclose(snap.centroid_velocity(), [0.5, 1.0], atol=1e-15)
-    hv = snap.heading_vectors()
-    np.testing.assert_allclose(hv[0], [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(hv[1], [0.0, 2.0], atol=1e-15)
-    assert not snap.stale.any()
+    speeds, headings = np.array([1.0, 2.0]), np.array([0.0, math.pi / 2])
+    positions = np.array([[0.0, 0.0], [4.0, 2.0]])
+    log = run(ScenarioConfig(
+        agents=tuple(AgentInit(p, h, v) for p, h, v in zip(positions, headings, speeds)),
+        gains=ControllerGains(gamma=0.1),
+        reference_mode=ConstantRef(velocity=(0.0, 0.0)),
+        duration=0.1,
+        dt=0.1,
+        allow_infeasible=True,
+    ))
+    # the logged centroid and centroid velocity of the state at t = 0
+    np.testing.assert_allclose(log.centroid[0], [2.0, 1.0])
+    np.testing.assert_allclose(log.centroid_vel[0], [0.5, 1.0], atol=1e-15)
+    # the beacon law reads the heading vectors v_k e^{i th_k} = (1, 0) and (0, 2):
+    # u_k = -(omega0 + gamma * omega0 * <r_k, v_k e^{i th_k}>) about the origin
+    gains = ControllerGains(gamma=0.1, omega0=0.5, spacing_mode=SpacingMode.BEACON)
+    u_spc = control_terms(speeds, headings, positions, reference_signal(np.zeros(2), 0.0, 0.0),
+                          gains)[2]
+    np.testing.assert_allclose(u_spc, [-0.5, -(0.5 + 0.05 * 4.0)], atol=1e-15)
+    assert log.stale_count[0] == 0
 
 
 # --------------------------------------------------------------------------

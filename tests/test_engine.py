@@ -264,6 +264,16 @@ def test_infeasible_scenario_raises():
     assert log.rows == 100  # runs to completion anyway
 
 
+def test_config_rejects_a_run_with_no_steps():
+    # round(duration / dt) is the step count; it must be at least 1
+    with pytest.raises(ValueError, match="no steps"):
+        basic_config(duration=0.001, dt=0.02)
+    with pytest.raises(ValueError, match="no steps"):
+        basic_config(duration=0.01, dt=0.02)  # exactly half a step rounds to 0
+    log = run(basic_config(duration=0.011, dt=0.02))
+    assert log.rows == 1
+
+
 def test_aborted_run_carries_partial_log():
     cfg = basic_config(gains=ControllerGains(gamma=1e308), duration=5.0)
     with np.errstate(all="ignore"), pytest.raises(SimulationAborted) as exc:

@@ -250,41 +250,41 @@ def test_delayed_messages_arrive_later():
 
 
 # --------------------------------------------------------------------------
-# controller snapshots
+# controller views
 
 
 def test_snapshot_own_state_is_truth():
     cfg = NetworkConfig(seed=2)
     net = BroadcastNetwork(cfg, 2)
     net.initialize(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 2.0]]), None, None)
-    snap = net.snapshot_for_agent(1, own_position=(7.0, 8.0), own_heading=0.5, speeds=[1.0, 2.0], t=0.0)
-    np.testing.assert_allclose(snap.positions[0], [7.0, 8.0])
-    assert snap.headings[0] == 0.5
-    assert not snap.stale[0]
-    # neighbor heading comes from the received velocity, speed from the config
-    assert snap.headings[1] == pytest.approx(math.pi / 2)
-    assert snap.speeds[1] == 2.0
+    headings, positions, stale = net.snapshot_for_agent(1, own_position=(7.0, 8.0),
+                                                        own_heading=0.5, t=0.0)
+    np.testing.assert_allclose(positions[0], [7.0, 8.0])
+    assert headings[0] == 0.5
+    assert not stale[0]
+    # neighbor heading comes from the received velocity
+    assert headings[1] == pytest.approx(math.pi / 2)
 
 
 def test_snapshot_extrapolates_constant_velocity_sender():
     net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
-    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5)
-    np.testing.assert_allclose(snap.positions[1], [10.0 + 3.0 * 1.5, 4.0 * 1.5], atol=1e-12)
+    _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
+    np.testing.assert_allclose(positions[1], [10.0 + 3.0 * 1.5, 4.0 * 1.5], atol=1e-12)
     # without extrapolation: last received position as-is
     net = BroadcastNetwork(NetworkConfig(), 2)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
-    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 5.0], t=2.5)
-    np.testing.assert_allclose(snap.positions[1], [10.0, 0.0])
+    _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
+    np.testing.assert_allclose(positions[1], [10.0, 0.0])
 
 
 def test_snapshot_staleness_flag():
     net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2)
     net.deliver(1, 2, 0.0, (1.0, 1.0), (1.0, 0.0))
-    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=2.0)
-    assert snap.stale[1] and not snap.stale[0]
-    snap = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, speeds=[1.0, 1.0], t=0.5)
-    assert not snap.stale.any()
+    _, _, stale = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.0)
+    assert stale[1] and not stale[0]
+    _, _, stale = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=0.5)
+    assert not stale.any()
 
 
 def test_target_estimate():
@@ -357,9 +357,8 @@ def test_views_match_last_accepted_oracle(run):
         stale = config.staleness_budget is not None and age > config.staleness_budget
         return (px, py), (vx, vy), stale
 
-    speeds = [1.0 + a for a in range(n)]
     for k in range(1, n + 1):
-        snap = net.snapshot_for_agent(k, (-5.0, 7.0), 0.25, speeds, t)
+        view_headings, view_positions, view_stale = net.snapshot_for_agent(k, (-5.0, 7.0), 0.25, t)
         positions, headings, stale = [], [], []
         for a in range(1, n + 1):
             if a == k:
@@ -371,10 +370,9 @@ def test_views_match_last_accepted_oracle(run):
             positions.append(pos)
             headings.append(math.atan2(vy, vx))
             stale.append(is_stale)
-        assert np.array_equal(snap.positions, np.array(positions).reshape(n, 2))
-        assert np.array_equal(snap.headings, headings)
-        assert np.array_equal(snap.stale, stale)
-        assert np.array_equal(snap.speeds, speeds)
+        assert np.array_equal(view_positions, np.array(positions).reshape(n, 2))
+        assert np.array_equal(view_headings, headings)
+        assert np.array_equal(view_stale, stale)
 
         pos, vel, t_stale = net.target_estimate(k, t)
         if (k, TARGET_ID) in last:

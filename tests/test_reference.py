@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmtrack.engine import TurningRef
 from swarmtrack.reference import (
     ConstantVelocityTarget,
     ConstantWeight,
     DistanceDependentWeight,
-    ReferenceSignal,
     TurningTarget,
     WaypointTarget,
     polar_velocity,
     reference_kinematics,
     reference_rates,
+    reference_signal,
     reference_velocity,
     target_state,
 )
@@ -222,10 +223,12 @@ def test_reference_rates_split_turn_and_speed():
 
 
 def test_reference_signal_velocity_roundtrip():
-    ref = ReferenceSignal(position=(0, 0), v_ref=2.0, theta_ref=math.pi / 3)
-    np.testing.assert_allclose(ref.velocity, [1.0, math.sqrt(3.0)], atol=1e-12)
+    _, velocity, _, _ = reference_signal((0, 0), 2.0, math.pi / 3)
+    np.testing.assert_allclose(velocity, [1.0, math.sqrt(3.0)], atol=1e-12)
+    # the polar form's speed is never negative: the one mode that takes it
+    # as an input rejects a negative one
     with pytest.raises(ValueError):
-        ReferenceSignal(position=(0, 0), v_ref=-1.0, theta_ref=0.0)
+        TurningRef(speed=-1.0, kappa=0.0)
 
 
 def test_polar_velocity_zero_uses_fallback():

@@ -397,6 +397,23 @@ def test_waypoint_validation_bubbles_with_target_line():
     expect_error(text, "[target]", "consecutive duplicate waypoints")
 
 
+def test_turning_target_validation_bubbles_with_target_line():
+    text = MINIMAL + "\n[target]\nprogram = turning\nx = 1\ny = 2\nspeed = -2\nkappa = 0.1\n"
+    expect_error(text, "[target]", "turning-target speed must be positive")
+
+
+def test_turning_reference_validation_bubbles_with_reference_line():
+    text = MINIMAL.replace("mode = constant\nvx = 2\nvy = 0", "mode = turning\nspeed = -1\nkappa = 0.1")
+    expect_error(text, "[reference]", "turning-reference speed must be non-negative")
+
+
+def test_duration_without_a_step_points_at_duration_line():
+    text = MINIMAL.replace("duration = 5\ndt = 0.05", "duration = 0.001\ndt = 0.02")
+    expect_error(text, "duration = 0.001", "gives no steps of dt = 0.02 s")
+    text = MINIMAL.replace("duration = 5\n", "duration = -1\n")
+    expect_error(text, "duration = -1", "gives no steps")
+
+
 def test_target_tracking_requires_target_section():
     lines = TRACKING.splitlines()
     start = lineof(TRACKING, "[target]") - 1
