@@ -58,7 +58,7 @@ from .reference import (
     reference_velocity,
     target_state,
 )
-from .scenario import ScenarioError, parse_scenario, parse_scenario_text
+from .scenario import ScenarioError, parse_scenario_text
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "counter_uniform",
     "hessian",
     "order_parameter",
-    "parse_scenario",
     "parse_scenario_text",
     "perturbation_oracle",
     "project_spacing_to_kernel",

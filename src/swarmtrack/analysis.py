@@ -279,7 +279,7 @@ def perturbation_oracle(
 # Batched constant-reference heading flow
 
 
-def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps, record_V=True):
+def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps):
     """Integrate the closed-loop heading dynamics for a batch of initial conditions.
 
     Under a constant reference with spacing off, positions never feed back
@@ -290,28 +290,26 @@ def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps, rec
     (batch, n) block of heading rows at once, which is how large convergence
     studies stay fast.
 
-    Returns (V_history of shape (batch, n_steps+1) or None, final headings).
+    Returns (V_history of shape (batch, n_steps+1), final headings).
     """
     v = np.asarray(speeds, dtype=float)
     ref = np.asarray(ref_velocity, dtype=float)
     th = np.atleast_2d(np.asarray(headings0, dtype=float)).copy()
     batch, n = th.shape
-    vh = np.empty((batch, n_steps + 1)) if record_V else None
+    vh = np.empty((batch, n_steps + 1))
     for i in range(n_steps):
         c = np.cos(th)
         s = np.sin(th)
         ex = (v * c).mean(axis=1) - ref[0]
         ey = (v * s).mean(axis=1) - ref[1]
-        if record_V:
-            vh[:, i] = 0.5 * (ex * ex + ey * ey)
+        vh[:, i] = 0.5 * (ex * ex + ey * ey)
         u = -gamma * (ex[:, None] * (-v * s) + ey[:, None] * (v * c))
         th = th + dt * u
-    if record_V:
-        c = np.cos(th)
-        s = np.sin(th)
-        ex = (v * c).mean(axis=1) - ref[0]
-        ey = (v * s).mean(axis=1) - ref[1]
-        vh[:, n_steps] = 0.5 * (ex * ex + ey * ey)
+    c = np.cos(th)
+    s = np.sin(th)
+    ex = (v * c).mean(axis=1) - ref[0]
+    ey = (v * s).mean(axis=1) - ref[1]
+    vh[:, n_steps] = 0.5 * (ex * ex + ey * ey)
     return vh, th
 
 

@@ -9,7 +9,10 @@ Subcommands:
 
 Artifacts written by `run` (and per sweep case): trajectory.csv (one row per
 control step, wide format), summary.json, plot.gp (gnuplot script). Exit codes:
-0 success, 1 usage/parse/abort errors, 2 infeasible speed configuration.
+0 success, 1 usage/parse/abort errors, 2 infeasible speed set. The scenario
+parser checks the speed set, so an infeasible file exits 1 naming the offending
+speed's line; 2 comes from `feasibility`, and from `_execute` when it is given
+an infeasible config built through the API.
 """
 
 from __future__ import annotations
@@ -42,20 +45,44 @@ _FLOAT_FMT = "%.17g"  # shortest-guaranteed round trip for binary64
 # trajectory.csv
 
 
+# The trajectory.csv layout, in file order: t, then one block of per-agent
+# columns for each agent in turn (named with the agent's 1-based number), then
+# the group's columns. Each entry is (RunLog field, CSV name or names); a field
+# with two names is an (x, y) pair.
+_AGENT_COLUMNS = (
+    ("x", "x"), ("y", "y"), ("theta", "theta"), ("u_vel", "u_vel"), ("u_h", "u_ff"),
+    ("u_spc", "u_spc"), ("u_total", "u_tot"), ("dist_to_centroid", "dist"),
+)
+_GROUP_COLUMNS = (
+    ("centroid", ("centroid_x", "centroid_y")),
+    ("centroid_vel", ("centroid_vx", "centroid_vy")),
+    ("ref_pos", ("ref_x", "ref_y")),
+    ("ref_vel", ("ref_vx", "ref_vy")),
+    ("target_pos", ("target_x", "target_y")),
+    ("target_vel", ("target_vx", "target_vy")),
+    ("V", "V"), ("beta_norm", "beta_norm"), ("alpha_norm", "alpha_norm"),
+    ("net_sent", "net_sent"), ("net_decisions", "net_decisions"),
+    ("net_delivered", "net_delivered"), ("net_dropped", "net_dropped"),
+    ("stale_count", "stale_count"),
+)
+
+
+def _csv_layout(n: int) -> list[tuple]:
+    """(CSV name, RunLog field, column of that field or None), in file order."""
+    layout = [("t", "t", None)]
+    for k in range(n):
+        layout += [(f"{name}{k + 1}", field, k) for field, name in _AGENT_COLUMNS]
+    for field, names in _GROUP_COLUMNS:
+        if isinstance(names, str):
+            layout.append((names, field, None))
+        else:
+            layout += [(name, field, i) for i, name in enumerate(names)]
+    return layout
+
+
 def csv_columns(n: int) -> list[str]:
     """Header names for an n-agent log, in file order."""
-    cols = ["t"]
-    for k in range(1, n + 1):
-        cols += [f"x{k}", f"y{k}", f"theta{k}", f"u_vel{k}", f"u_ff{k}",
-                 f"u_spc{k}", f"u_tot{k}", f"dist{k}"]
-    cols += [
-        "centroid_x", "centroid_y", "centroid_vx", "centroid_vy",
-        "ref_x", "ref_y", "ref_vx", "ref_vy",
-        "target_x", "target_y", "target_vx", "target_vy",
-        "V", "beta_norm", "alpha_norm",
-        "net_sent", "net_decisions", "net_delivered", "net_dropped", "stale_count",
-    ]
-    return cols
+    return [name for name, _, _ in _csv_layout(n)]
 
 
 def _log_columns(log: RunLog) -> dict:
@@ -63,19 +90,13 @@ def _log_columns(log: RunLog) -> dict:
 
     The integer counters are converted to floats, the values the CSV holds.
     """
-    arrays = [log.t]
-    for k in range(log.n):
-        arrays += [log.x[:, k], log.y[:, k], log.theta[:, k], log.u_vel[:, k],
-                   log.u_h[:, k], log.u_spc[:, k], log.u_total[:, k],
-                   log.dist_to_centroid[:, k]]
-    for pair in (log.centroid, log.centroid_vel, log.ref_pos, log.ref_vel,
-                 log.target_pos, log.target_vel):
-        arrays += [pair[:, 0], pair[:, 1]]
-    arrays += [log.V, log.beta_norm, log.alpha_norm]
-    arrays += [c.astype(float) for c in (log.net_sent, log.net_decisions,
-                                         log.net_delivered, log.net_dropped,
-                                         log.stale_count)]
-    return dict(zip(csv_columns(log.n), arrays))
+    columns = {}
+    for name, field, i in _csv_layout(log.n):
+        values = getattr(log, field)
+        if i is not None:
+            values = values[:, i]
+        columns[name] = values if values.dtype == np.float64 else values.astype(float)
+    return columns
 
 
 def write_trajectory_csv(log: RunLog, path):
@@ -234,16 +255,15 @@ def write_summary(summary: dict, path):
 # plot.gp
 
 
-def write_plot_script(path, n: int, csv_name: str = "trajectory.csv"):
+def write_plot_script(path, n: int):
     """Emit a gnuplot script: planar trajectories + distance traces."""
-    base = lambda k: 2 + 8 * (k - 1)  # 1-based column of x_k
-    sb = 2 + 8 * n  # centroid_x
+    col = {name: i for i, name in enumerate(csv_columns(n), start=1)}  # 1-based
     agent_plots = ", \\\n     ".join(
-        f"'' using {base(k)}:{base(k) + 1} with lines lw 1 title 'agent {k}'"
+        f"'' using {col[f'x{k}']}:{col[f'y{k}']} with lines lw 1 title 'agent {k}'"
         for k in range(1, n + 1)
     )
     dist_plots = ", \\\n     ".join(
-        f"'' using 1:{base(k) + 7} with lines lw 1 title 'agent {k} to centroid'"
+        f"'' using 1:{col[f'dist{k}']} with lines lw 1 title 'agent {k} to centroid'"
         for k in range(1, n + 1)
     )
     script = f"""\
@@ -257,16 +277,16 @@ set output 'trajectory.png'
 set size ratio -1
 set xlabel 'x [m]'
 set ylabel 'y [m]'
-plot '{csv_name}' using {sb}:{sb + 1} with lines lw 2 title 'centroid', \\
-     '' using {sb + 8}:{sb + 9} with lines lw 2 title 'target', \\
-     '' using {sb + 4}:{sb + 5} with lines dashtype 2 title 'reference', \\
+plot 'trajectory.csv' using {col['centroid_x']}:{col['centroid_y']} with lines lw 2 title 'centroid', \\
+     '' using {col['target_x']}:{col['target_y']} with lines lw 2 title 'target', \\
+     '' using {col['ref_x']}:{col['ref_y']} with lines dashtype 2 title 'reference', \\
      {agent_plots}
 
 set output 'distances.png'
 set size noratio
 set xlabel 't [s]'
 set ylabel 'distance [m]'
-plot '{csv_name}' using 1:{sb + 13} with lines lw 2 title '|centroid - target|', \\
+plot 'trajectory.csv' using 1:{col['beta_norm']} with lines lw 2 title '|centroid - target|', \\
      {dist_plots}
 """
     with open(path, "w", encoding="utf-8") as fh:
@@ -526,10 +546,13 @@ def _cmd_feasibility(args) -> int:
     return 0 if report.feasible else 2
 
 
-def bundled_scenario_text(name: str = "experiment_replay.ini") -> str:
+def bundled_scenario_text() -> str:
+    """The bundled field-experiment scenario file."""
     from importlib import resources
 
-    return (resources.files("swarmtrack.scenarios") / name).read_text(encoding="utf-8")
+    return (resources.files("swarmtrack.scenarios") / "experiment_replay.ini").read_text(
+        encoding="utf-8"
+    )
 
 
 def _cmd_replay(args) -> int:

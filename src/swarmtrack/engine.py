@@ -10,7 +10,7 @@ want is appended to a fixed-schema log, one record per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,10 +76,8 @@ class TurningRef:
 
 @dataclass(frozen=True)
 class TargetTracking:
-    """Reference generated online from the target and the centroid estimate."""
-
-    def speed_bound(self) -> float:  # resolved against the target program
-        raise TypeError("TargetTracking bound comes from the target program")
+    """Reference generated online from the target and the centroid estimate;
+    its speed bound is the target program's."""
 
 
 ReferenceMode = ConstantRef | TurningRef | TargetTracking
@@ -356,10 +354,7 @@ def run(config: ScenarioConfig) -> RunLog:
     net = None
     agent_streams = None
     if config.network is not None:
-        net_cfg = config.network
-        if net_cfg.seed == 0:
-            net_cfg = replace(net_cfg, seed=config.seed)
-        net = BroadcastNetwork(net_cfg, n)
+        net = BroadcastNetwork(config.network, n, config.seed)
         tpos0, tvel0 = (target_state(config.target, 0.0) if config.target is not None else (None, None))
         vel0 = np.column_stack((speeds * np.cos(th), speeds * np.sin(th)))
         net.initialize(np.column_stack((x, y)), vel0, tpos0, tvel0)
@@ -477,7 +472,7 @@ def run(config: ScenarioConfig) -> RunLog:
             else:
                 ntp = ntv = None
             new_vel = np.column_stack((speeds * np.cos(th), speeds * np.sin(th)))
-            net.advance(t, t_next, np.column_stack((x, y)), new_vel, ntp, ntv)
+            net.advance(t_next, np.column_stack((x, y)), new_vel, ntp, ntv)
 
         if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(th).all()):
             _truncate_log(log, m + 1)

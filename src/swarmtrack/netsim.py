@@ -51,10 +51,10 @@ class NetworkConfig:
     """Broadcast model parameters.
 
     loss_probability applies per (message, receiver). delay is a fixed latency
-    and jitter adds a uniform [0, jitter) extra per (message, receiver); their
-    sum bounds the worst-case latency. staleness_budget (when set) flags
-    received entries older than the budget. extrapolate enables dead reckoning
-    between receptions (default off: pure last-received semantics).
+    and jitter adds a uniform [0, jitter) extra per (message, receiver).
+    staleness_budget (when set) flags received entries older than the budget.
+    extrapolate enables dead reckoning between receptions (default off: pure
+    last-received semantics). The draws are keyed by the run's seed.
     """
 
     agent_rate: float = 10.0
@@ -62,7 +62,6 @@ class NetworkConfig:
     loss_probability: float = 0.0
     delay: float = 0.0
     jitter: float = 0.0
-    seed: int = 0
     extrapolate: bool = False
     staleness_budget: float | None = None
 
@@ -76,32 +75,9 @@ class NetworkConfig:
         if self.staleness_budget is not None and not self.staleness_budget > 0.0:
             raise ValueError("staleness_budget must be positive")
 
-    @property
-    def max_delay(self) -> float:
-        return self.delay + self.jitter
-
     def bandwidth_bits_per_s(self) -> float:
         """Per-agent payload rate: four 32-bit floats per message."""
         return 4 * 32 * self.agent_rate
-
-
-def emission_indices(phase: float, period: float, t0: float, t1: float):
-    """Indices j with t0 <= phase + j*period < t1, j >= 0.
-
-    The membership test uses the same float expression on both window edges,
-    so consecutive windows sharing an edge partition the instants exactly.
-    """
-    lo = max(0, math.floor((t0 - phase) / period) - 1)
-    hi = math.ceil((t1 - phase) / period) + 1
-    return [j for j in range(lo, hi + 1) if t0 <= phase + j * period < t1]
-
-
-def source_phases(config: NetworkConfig, n_agents: int) -> dict:
-    """Per-source broadcast phase offsets, drawn once from the seed."""
-    phases = {TARGET_ID: counter_uniform(config.seed, SALT_PHASE, TARGET_ID) / config.target_rate}
-    for a in range(1, n_agents + 1):
-        phases[a] = counter_uniform(config.seed, SALT_PHASE, a) / config.agent_rate
-    return phases
 
 
 @dataclass
@@ -115,29 +91,41 @@ class NetworkStats:
 class BroadcastNetwork:
     """Stateful broadcast medium plus every agent's last-received state.
 
+    Source s (0 is the target, 1..n the agents) sends at the instants
+    phase[s] + j * period[s], j = 0, 1, ...; its phase is drawn once from the
+    seed inside one period, and seq[s] counts the instants already passed,
+    which makes it both the schedule and the message sequence number.
+
     What agent k last received from sender s is row k - 1, column s of four
     arrays: `pos` and `vel` (n, n+1, 2), the heading of that velocity
     `heading` (n, n+1), and the arrival time `recv_t` (n, n+1), -inf while
     nothing has arrived. Column 0 is the target; an agent's own column stays
     empty.
 
-    The engine drives it once per step after integrating the dynamics: any
-    source whose nominal send instant fell inside the step window emits a
-    message carrying the post-step state, per-receiver loss and delay are
-    drawn, and due deliveries are stored in arrival order.
+    The engine drives it once per step after integrating the dynamics: every
+    source whose next send instant fell before the step's end emits a message
+    carrying the post-step state, per-receiver loss and delay are drawn, and
+    due deliveries are stored in arrival order.
     """
 
-    def __init__(self, config: NetworkConfig, n_agents: int):
+    def __init__(self, config: NetworkConfig, n_agents: int, seed: int):
         self.config = config
         self.n = n_agents
-        self.phases = source_phases(config, n_agents)
+        self.seed = seed
+        rate = np.full(n_agents + 1, config.agent_rate)
+        rate[TARGET_ID] = config.target_rate
+        self.phase = np.array(
+            [counter_uniform(seed, SALT_PHASE, s) for s in range(n_agents + 1)]
+        ) / rate
+        self.period = 1.0 / rate
+        self.seq = np.zeros(n_agents + 1, dtype=np.int64)
+        self._next_send = self.phase.copy()  # phase + seq * period
         self.pos = np.zeros((n_agents, n_agents + 1, 2))
         self.vel = np.zeros((n_agents, n_agents + 1, 2))
         self.heading = np.zeros((n_agents, n_agents + 1))
         self.recv_t = np.full((n_agents, n_agents + 1), -math.inf)
         # heap of (arrival, sender, seq, receiver, (position, velocity, heading))
         self.pending = []
-        self.seq = {s: 0 for s in self.phases}
         self.stats = NetworkStats()
 
     def deliver(self, receiver: int, sender: int, arrival: float, position, velocity,
@@ -166,10 +154,8 @@ class BroadcastNetwork:
             if target_pos is not None:
                 self.deliver(receiver, TARGET_ID, 0.0, target_pos, target_vel)
 
-    def _emit(self, sender: int, stamp: float, position, velocity):
-        cfg = self.config
-        seq = self.seq[sender]
-        self.seq[sender] = seq + 1
+    def _emit(self, sender: int, seq: int, stamp: float, position, velocity):
+        cfg, seed = self.config, self.seed
         vx, vy = float(velocity[0]), float(velocity[1])
         msg = ((float(position[0]), float(position[1])), (vx, vy), math.atan2(vy, vx))
         self.stats.sent += 1
@@ -177,35 +163,36 @@ class BroadcastNetwork:
             if receiver == sender:
                 continue
             self.stats.pair_decisions += 1
-            if counter_uniform(cfg.seed, SALT_LOSS, sender, seq, receiver) < cfg.loss_probability:
+            if counter_uniform(seed, SALT_LOSS, sender, seq, receiver) < cfg.loss_probability:
                 self.stats.dropped += 1
                 continue
             self.stats.delivered += 1
             delay = cfg.delay
             if cfg.jitter > 0.0:
-                delay += cfg.jitter * counter_uniform(cfg.seed, SALT_JITTER, sender, seq, receiver)
+                delay += cfg.jitter * counter_uniform(seed, SALT_JITTER, sender, seq, receiver)
             heapq.heappush(self.pending, (stamp + delay, sender, seq, receiver, msg))
 
-    def advance(self, t_prev: float, t_new: float, positions, velocities, target_pos, target_vel):
-        """Emit for send instants in [t_prev, t_new), then apply due arrivals.
+    def advance(self, t_new: float, positions, velocities, target_pos, target_vel):
+        """Send at every instant before t_new not yet passed, then apply due arrivals.
 
         Emitted messages carry the grid state at t_new (states only exist on
         the step grid; the nominal instant determines whether a message goes
-        out, the grid supplies its content). Arrivals are stored in
-        (arrival, sender, seq, receiver) order.
+        out, the grid supplies its content). A source above 1/dt sends more
+        than once in a step. The target's instants pass unsent while it has no
+        state. Arrivals are stored in (arrival, sender, seq, receiver) order.
         """
-        cfg = self.config
-        for sender in sorted(self.phases):
-            period = 1.0 / (cfg.target_rate if sender == TARGET_ID else cfg.agent_rate)
-            phase = self.phases[sender]
-            for _ in emission_indices(phase, period, t_prev, t_new):
-                if sender == TARGET_ID:
-                    if target_pos is None:
-                        self.seq[sender] += 1
-                        continue
-                    self._emit(sender, t_new, target_pos, target_vel)
-                else:
-                    self._emit(sender, t_new, positions[sender - 1], velocities[sender - 1])
+        next_send = self._next_send
+        due = np.flatnonzero(next_send < t_new)
+        while due.size:
+            for s in due.tolist():
+                seq = int(self.seq[s])
+                self.seq[s] = seq + 1
+                next_send[s] = self.phase[s] + (seq + 1) * self.period[s]
+                if s != TARGET_ID:
+                    self._emit(s, seq, t_new, positions[s - 1], velocities[s - 1])
+                elif target_pos is not None:
+                    self._emit(s, seq, t_new, target_pos, target_vel)
+            due = np.flatnonzero(next_send < t_new)
         pending = self.pending
         while pending and pending[0][0] <= t_new:
             arrival, sender, _, receiver, (position, velocity, heading) = heapq.heappop(pending)

@@ -304,7 +304,7 @@ def _build_reference(sec: _Section | None):
     return ref, weight
 
 
-def _build_network(sec: _Section | None, seed: int):
+def _build_network(sec: _Section | None):
     if sec is None:
         return None
     mode = sec.require("mode").value.strip().lower()
@@ -333,7 +333,6 @@ def _build_network(sec: _Section | None, seed: int):
             loss_probability=loss,
             delay=delay,
             jitter=jitter,
-            seed=seed,
             extrapolate=extrapolate,
             staleness_budget=staleness,
         )
@@ -384,7 +383,7 @@ def parse_scenario_text(text: str, seed_override: int | None = None,
             "reference mode target_tracking requires a [target] section",
             singles["reference"].line,
         )
-    network = _build_network(singles.get("network"), seed)
+    network = _build_network(singles.get("network"))
 
     try:
         config = ScenarioConfig(
@@ -421,10 +420,3 @@ def parse_scenario_text(text: str, seed_override: int | None = None,
         )
     return config
 
-
-def parse_scenario(path, seed_override: int | None = None,
-                   allow_infeasible: bool = False) -> ScenarioConfig:
-    """Read and parse a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_scenario_text(text, seed_override=seed_override, allow_infeasible=allow_infeasible)

@@ -327,7 +327,7 @@ def tracking_base(**kw):
 def test_repeated_runs_bit_identical():
     config = tracking_base(
         gains=ControllerGains(gamma=0.01, spacing_mode=SpacingMode.BEACON),
-        network=NetworkConfig(loss_probability=0.2, delay=0.03, jitter=0.02, seed=5),
+        network=NetworkConfig(loss_probability=0.2, delay=0.03, jitter=0.02),
         duration=20.0,
         disturbance=0.01,
     )
@@ -338,7 +338,7 @@ def test_lossless_network_matches_ground_truth():
     truth = run(tracking_base(duration=60.0))
     net = run(tracking_base(
         duration=60.0,
-        network=NetworkConfig(agent_rate=50.0, target_rate=50.0, seed=13),
+        network=NetworkConfig(agent_rate=50.0, target_rate=50.0),
     ))
     for field in ("x", "y", "theta"):
         diff = np.max(np.abs(getattr(net, field) - getattr(truth, field)))
@@ -349,7 +349,7 @@ def test_delivery_counts_within_binomial_band():
     # one extra step so the final record covers the full 60 s of traffic
     log = run(tracking_base(
         duration=60.02,
-        network=NetworkConfig(loss_probability=0.1, seed=13),
+        network=NetworkConfig(loss_probability=0.1),
     ))
     assert log.t[-1] == 60.0
     decisions = int(log.net_decisions[-1])

@@ -327,9 +327,7 @@ def test_phase_flow_matches_engine_headings():
         dt=dt,
     )
     log = run(config)
-    _, th = simulate_phase_flow(
-        speeds, (1.0, 0.5), gamma, headings0, dt, n_steps - 1, record_V=False
-    )
+    _, th = simulate_phase_flow(speeds, (1.0, 0.5), gamma, headings0, dt, n_steps - 1)
     # engine wraps headings each step; compare on the circle
     d = np.exp(1j * log.theta[-1]) - np.exp(1j * th[0])
     assert np.max(np.abs(d)) <= 1e-12

@@ -124,16 +124,6 @@ def test_seed_changes_network_outcomes():
     assert a.net_delivered[-1] != b.net_delivered[-1] or not np.array_equal(a.x, b.x)
 
 
-def test_network_seed_zero_falls_back_to_run_seed():
-    explicit = basic_config(
-        duration=2.0, seed=11, network=NetworkConfig(loss_probability=0.3, seed=11)
-    )
-    fallback = basic_config(
-        duration=2.0, seed=11, network=NetworkConfig(loss_probability=0.3, seed=0)
-    )
-    assert logs_equal(run(explicit), run(fallback))
-
-
 # --------------------------------------------------------------------------
 # convergence behavior
 

@@ -4,7 +4,8 @@ Each case runs a small scenario and hashes every `RunLog` array, in field
 order, with SHA-256. The cases cover ground-truth and networked information;
 the beacon, projected-beacon and no-spacing laws; constant, turning and
 target-tracking references; saturation, disturbance, dead reckoning, a
-staleness budget, delay and jitter together; and one group of 12 vehicles.
+staleness budget, delay and jitter together; broadcast rates above 1/dt, so
+that a source sends more than once in a step; and one group of 12 vehicles.
 
 The hashes pin the exact bits the simulator produces with the numpy and libm
 they were taken on. A change that has to alter bits (a new reduction order,
@@ -111,6 +112,16 @@ CASES = {
             extrapolate=True, staleness_budget=0.15,
         ),
     ),
+    # both rates above 1/dt: most steps send two messages per source
+    "net_burst_tracking": lambda: _config(
+        gains=ControllerGains(gamma=0.01, spacing_mode=SpacingMode.BEACON),
+        reference_mode=TargetTracking(),
+        target=ConstantVelocityTarget(initial_position=(5.0, -5.0), velocity=(1.0, 0.5)),
+        weight=WEIGHT,
+        network=NetworkConfig(
+            agent_rate=70.0, target_rate=60.0, loss_probability=0.2, delay=0.01, jitter=0.03,
+        ),
+    ),
     "net_twelve_off_constant": lambda: _config(
         agents=TWELVE,
         duration=2.0,
@@ -121,6 +132,7 @@ CASES = {
 }
 
 GOLDEN = {
+    "net_burst_tracking": "671029c011ed8c6625700402071d42763a12e60f59735b38e072d9f77f81dd9b",
     "net_beacon_tracking": "dd6d75cc7cc6c35c286be2f4aa2ecbdae6f98c55ff35c040f216cfc4367772a2",
     "net_projected_turning": "bd7320db8918ff81aa6a331141d2cd969ac3f73bc1a16e3d2514e5535bc8b98b",
     "net_stressed_tracking": "6e26875af5ecac0c47e9886d65895d8b6070a1afed76d24c2fd23ee70357fd36",

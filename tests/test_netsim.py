@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmtrack.netsim import (
+    SALT_PHASE,
     TARGET_ID,
     BroadcastNetwork,
     NetworkConfig,
     counter_uniform,
-    emission_indices,
-    source_phases,
 )
 
 
-def advance_steps(net, steps, dt, t0=0.0):
-    """Drive a network over `steps` windows of length dt with every state at rest."""
+def advance_steps(net, steps, dt):
+    """Drive a network over `steps` steps of length dt with every state at rest."""
     pos, vel = np.zeros((net.n, 2)), np.zeros((net.n, 2))
     for m in range(steps):
-        net.advance(t0 + m * dt, t0 + (m + 1) * dt, pos, vel, None, None)
+        net.advance((m + 1) * dt, pos, vel, None, None)
 
 
 # --------------------------------------------------------------------------
@@ -48,9 +47,9 @@ def test_counter_uniform_covers_unit_interval():
 
 
 def test_emission_counts_over_one_second():
-    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, seed=12)
+    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0)
     n = 3
-    net = BroadcastNetwork(cfg, n)
+    net = BroadcastNetwork(cfg, n, seed=12)
     advance_steps(net, 100, 0.01)
     # seq counts every send instant, the target's too when it has no state to send
     for a in range(1, n + 1):
@@ -60,41 +59,56 @@ def test_emission_counts_over_one_second():
 
 
 def test_target_rate_over_two_seconds():
-    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, seed=99)
-    net = BroadcastNetwork(cfg, 1)
+    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0)
+    net = BroadcastNetwork(cfg, 1, seed=99)
     advance_steps(net, 100, 0.02)
     assert net.seq[TARGET_ID] == 10
 
 
 def test_schedule_is_deterministic():
-    cfg = NetworkConfig(seed=5, loss_probability=0.3, jitter=0.05)
-    a, b = BroadcastNetwork(cfg, 4), BroadcastNetwork(cfg, 4)
-    advance_steps(a, 1, 0.1, t0=0.35)
-    advance_steps(b, 1, 0.1, t0=0.35)
+    cfg = NetworkConfig(loss_probability=0.3, jitter=0.05)
+    a, b = BroadcastNetwork(cfg, 4, seed=5), BroadcastNetwork(cfg, 4, seed=5)
+    advance_steps(a, 4, 0.1)
+    advance_steps(b, 4, 0.1)
     assert a.stats.sent > 0
-    assert a.seq == b.seq and a.stats == b.stats
+    assert np.array_equal(a.seq, b.seq) and a.stats == b.stats
     assert [p[:4] for p in a.pending] == [p[:4] for p in b.pending]
-    assert source_phases(cfg, 4) == source_phases(cfg, 4)
+    assert np.array_equal(a.phase, b.phase)
 
 
 def test_phases_lie_inside_one_period():
-    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, seed=31)
-    phases = source_phases(cfg, 6)
-    assert 0.0 <= phases[TARGET_ID] < 1.0 / cfg.target_rate
+    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0)
+    net = BroadcastNetwork(cfg, 6, seed=31)
+    assert net.period[TARGET_ID] == 1.0 / cfg.target_rate
+    assert (net.period[1:] == 1.0 / cfg.agent_rate).all()
+    assert ((0.0 <= net.phase) & (net.phase < net.period)).all()
+    # the phase is the seeded draw scaled to one period
+    assert net.phase[TARGET_ID] == counter_uniform(31, SALT_PHASE, TARGET_ID) / cfg.target_rate
     for a in range(1, 7):
-        assert 0.0 <= phases[a] < 1.0 / cfg.agent_rate
+        assert net.phase[a] == counter_uniform(31, SALT_PHASE, a) / cfg.agent_rate
 
 
-def test_emission_indices_partition_windows():
-    # every send instant lands in exactly one of the consecutive windows
-    for phase, period, dt in [(0.037, 0.1, 0.01), (0.0, 0.2, 0.03), (0.11, 0.13, 0.007)]:
-        seen = []
-        t = 0.0
-        while t < 2.0:
-            seen.extend(emission_indices(phase, period, t, t + dt))
-            t += dt
-        expected = [j for j in range(200) if phase + j * period < t]
-        assert seen == expected
+@given(
+    rates=st.tuples(st.floats(0.5, 100.0), st.floats(0.5, 100.0)),
+    dt=st.floats(0.001, 0.2),
+    steps=st.integers(1, 60),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_send_counter_counts_every_instant_passed(rates, dt, steps, seed):
+    # over contiguous steps from t = 0, each source has sent once per instant
+    # phase + j * period below the step's end, however many fall in one step
+    agent_rate, target_rate = rates
+    net = BroadcastNetwork(NetworkConfig(agent_rate=agent_rate, target_rate=target_rate), 2, seed)
+    pos, vel = np.zeros((2, 2)), np.zeros((2, 2))
+    for m in range(steps):
+        t = (m + 1) * dt
+        net.advance(t, pos, vel, np.zeros(2), np.zeros(2))
+        for s in range(3):
+            phase, period = float(net.phase[s]), float(net.period[s])
+            expected = sum(1 for j in range(int(t / period) + 2) if phase + j * period < t)
+            assert net.seq[s] == expected
+    assert net.stats.sent == int(net.seq.sum())
 
 
 # --------------------------------------------------------------------------
@@ -122,8 +136,6 @@ def test_network_config_validation():
     ]:
         with pytest.raises(ValueError, match=message):
             NetworkConfig(**kwargs)
-    cfg = NetworkConfig(delay=0.05, jitter=0.02)
-    assert cfg.max_delay == pytest.approx(0.07)
 
 
 def test_bandwidth_accounting():
@@ -141,7 +153,7 @@ def filled(net, owner):
 
 
 def test_table_never_rolls_back():
-    net = BroadcastNetwork(NetworkConfig(), 2)
+    net = BroadcastNetwork(NetworkConfig(), 2, seed=0)
     net.deliver(1, 2, 1.0, (1.0, 1.0), (1.0, 0.0))
     net.deliver(1, 2, 0.5, (9.0, 9.0), (0.0, 1.0))  # late arrival of the older message
     np.testing.assert_allclose(net.pos[0, 2], [1.0, 1.0])
@@ -153,15 +165,15 @@ def test_table_never_rolls_back():
 def _drive(net, n, dt, steps, x0, vel, tgt0=None, tvel=None):
     """Move agents in straight lines and advance the network each step."""
     for m in range(steps):
-        t, t_next = m * dt, (m + 1) * dt
+        t_next = (m + 1) * dt
         pos = x0 + vel * t_next
         tp = None if tgt0 is None else tgt0 + tvel * t_next
-        net.advance(t, t_next, pos, np.tile(vel, (n, 1)) if vel.ndim == 1 else vel, tp, tvel)
+        net.advance(t_next, pos, np.tile(vel, (n, 1)) if vel.ndim == 1 else vel, tp, tvel)
 
 
 def test_initialize_fills_tables():
-    cfg = NetworkConfig(seed=3)
-    net = BroadcastNetwork(cfg, 3)
+    cfg = NetworkConfig()
+    net = BroadcastNetwork(cfg, 3, seed=3)
     pos = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     vel = np.array([[1.0, 0.0]] * 3)
     net.initialize(pos, vel, np.array([50.0, 0.0]), np.array([2.0, 0.0]))
@@ -176,16 +188,16 @@ def test_initialize_fills_tables():
 
 
 def test_lossless_zero_delay_tables_track_truth():
-    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=0.0, delay=0.0, seed=8)
+    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=0.0, delay=0.0)
     n = 2
-    net = BroadcastNetwork(cfg, n)
+    net = BroadcastNetwork(cfg, n, seed=8)
     x0 = np.array([[0.0, 0.0], [100.0, 0.0]])
     vel = np.array([[3.0, 0.0], [0.0, -2.0]])
     net.initialize(x0, vel, None, None)
     dt, steps = 0.01, 200
     for m in range(steps):
-        t, t_next = m * dt, (m + 1) * dt
-        net.advance(t, t_next, x0 + vel * t_next, vel, None, None)
+        t_next = (m + 1) * dt
+        net.advance(t_next, x0 + vel * t_next, vel, None, None)
     assert net.stats.dropped == 0
     assert net.stats.delivered == net.stats.pair_decisions
     # each received entry equals the sender's true state at its last send window
@@ -199,9 +211,9 @@ def test_lossless_zero_delay_tables_track_truth():
 
 
 def test_total_loss_freezes_tables():
-    cfg = NetworkConfig(loss_probability=1.0 - 1e-12, seed=21)
+    cfg = NetworkConfig(loss_probability=1.0 - 1e-12)
     n = 3
-    net = BroadcastNetwork(cfg, n)
+    net = BroadcastNetwork(cfg, n, seed=21)
     x0 = np.zeros((n, 2))
     vel = np.array([[1.0, 0.0]] * n)
     net.initialize(x0, vel, None, None)
@@ -214,9 +226,9 @@ def test_total_loss_freezes_tables():
 
 def test_delivered_count_matches_binomial():
     loss = 0.1
-    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=loss, seed=1234)
+    cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=loss)
     n = 3
-    net = BroadcastNetwork(cfg, n)
+    net = BroadcastNetwork(cfg, n, seed=1234)
     x0 = np.zeros((n, 2))
     vel = np.array([[1.0, 0.0]] * n)
     net.initialize(x0, vel, np.zeros(2), np.ones(2))
@@ -230,22 +242,22 @@ def test_delivered_count_matches_binomial():
 
 
 def test_delayed_messages_arrive_later():
-    cfg = NetworkConfig(agent_rate=10.0, delay=0.35, seed=6)
+    cfg = NetworkConfig(agent_rate=10.0, delay=0.35)
     n = 2
-    net = BroadcastNetwork(cfg, n)
+    net = BroadcastNetwork(cfg, n, seed=6)
     x0 = np.array([[0.0, 0.0], [10.0, 0.0]])
     vel = np.array([[1.0, 0.0], [1.0, 0.0]])
     net.initialize(x0, vel, None, None)
     dt = 0.01
     # run 0.2 s: everything emitted so far is still in flight
     for m in range(20):
-        net.advance(m * dt, (m + 1) * dt, x0 + vel * (m + 1) * dt, vel, None, None)
+        net.advance((m + 1) * dt, x0 + vel * (m + 1) * dt, vel, None, None)
     assert net.stats.delivered > 0  # counted on emission
     assert (net.recv_t[net.recv_t > -math.inf] == 0.0).all()
     assert len(net.pending) > 0
     # run past the delay: deliveries drain
     for m in range(20, 60):
-        net.advance(m * dt, (m + 1) * dt, x0 + vel * (m + 1) * dt, vel, None, None)
+        net.advance((m + 1) * dt, x0 + vel * (m + 1) * dt, vel, None, None)
     assert net.recv_t[0, 2] >= 0.35
 
 
@@ -254,8 +266,8 @@ def test_delayed_messages_arrive_later():
 
 
 def test_snapshot_own_state_is_truth():
-    cfg = NetworkConfig(seed=2)
-    net = BroadcastNetwork(cfg, 2)
+    cfg = NetworkConfig()
+    net = BroadcastNetwork(cfg, 2, seed=2)
     net.initialize(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 2.0]]), None, None)
     headings, positions, stale = net.snapshot_for_agent(1, own_position=(7.0, 8.0),
                                                         own_heading=0.5, t=0.0)
@@ -267,19 +279,19 @@ def test_snapshot_own_state_is_truth():
 
 
 def test_snapshot_extrapolates_constant_velocity_sender():
-    net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2)
+    net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2, seed=0)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
     np.testing.assert_allclose(positions[1], [10.0 + 3.0 * 1.5, 4.0 * 1.5], atol=1e-12)
     # without extrapolation: last received position as-is
-    net = BroadcastNetwork(NetworkConfig(), 2)
+    net = BroadcastNetwork(NetworkConfig(), 2, seed=0)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
     np.testing.assert_allclose(positions[1], [10.0, 0.0])
 
 
 def test_snapshot_staleness_flag():
-    net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2)
+    net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2, seed=0)
     net.deliver(1, 2, 0.0, (1.0, 1.0), (1.0, 0.0))
     _, _, stale = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.0)
     assert stale[1] and not stale[0]
@@ -288,15 +300,15 @@ def test_snapshot_staleness_flag():
 
 
 def test_target_estimate():
-    cfg = NetworkConfig(seed=4, extrapolate=True, staleness_budget=0.5)
-    net = BroadcastNetwork(cfg, 2)
+    cfg = NetworkConfig(extrapolate=True, staleness_budget=0.5)
+    net = BroadcastNetwork(cfg, 2, seed=4)
     net.initialize(np.zeros((2, 2)), np.ones((2, 2)), np.array([5.0, 0.0]), np.array([2.0, 0.0]))
     pos, vel, stale = net.target_estimate(1, t=1.0)
     np.testing.assert_allclose(pos, [7.0, 0.0])  # extrapolated from t=0
     np.testing.assert_allclose(vel, [2.0, 0.0])
     assert stale  # older than the 0.5 s budget
 
-    net_no_tgt = BroadcastNetwork(cfg, 2)
+    net_no_tgt = BroadcastNetwork(cfg, 2, seed=4)
     net_no_tgt.initialize(np.zeros((2, 2)), np.ones((2, 2)), None, None)
     pos, vel, stale = net_no_tgt.target_estimate(1, t=0.0)
     assert pos is None and vel is None and not stale
@@ -334,7 +346,7 @@ def delivery_runs(draw):
 @settings(max_examples=200, deadline=None)
 def test_views_match_last_accepted_oracle(run):
     n, with_target, deliveries, config, init, t = run
-    net = BroadcastNetwork(config, n)
+    net = BroadcastNetwork(config, n, seed=0)
     tpos, tvel = init[0] if with_target else (None, None)
     net.initialize([p for p, _ in init[1:]], [v for _, v in init[1:]], tpos, tvel)
 

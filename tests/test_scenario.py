@@ -3,13 +3,16 @@ line-numbered diagnostics. Parse errors are an interface, so the tests pin
 messages and line numbers, not just the exception type.
 """
 
+import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
+from swarmtrack import cli
 from swarmtrack.controllers import SpacingMode
-from swarmtrack.engine import ConstantRef, TargetTracking, TurningRef
+from swarmtrack.engine import ConstantRef, TargetTracking, TurningRef, run
 from swarmtrack.reference import (
     ConstantVelocityTarget,
     ConstantWeight,
@@ -17,7 +20,7 @@ from swarmtrack.reference import (
     TurningTarget,
     WaypointTarget,
 )
-from swarmtrack.scenario import ScenarioError, parse_scenario, parse_scenario_text
+from swarmtrack.scenario import ScenarioError, parse_scenario_text
 
 
 def lineof(text, fragment):
@@ -157,7 +160,7 @@ def test_tracking_scenario_parses():
     assert (net.agent_rate, net.target_rate) == (10.0, 5.0)  # defaults kept
     assert (net.loss_probability, net.delay, net.jitter) == (0.1, 0.05, 0.01)
     assert net.extrapolate is True and net.staleness_budget == 0.5
-    assert net.seed == 4  # network inherits the sim seed
+    assert config.seed == 4  # the run seed keys the network's draws
     assert config.disturbance == 0.01
 
 
@@ -186,18 +189,28 @@ def test_bundled_replay_scenario():
 
 
 def test_parse_scenario_reads_file(tmp_path):
+    # the CLI reads scenario files itself, so that it can report OSError
     path = tmp_path / "case.ini"
     path.write_text(MINIMAL, encoding="utf-8")
-    config = parse_scenario(path)
-    assert tuple(config.speeds) == (10.0, 12.0, 16.0)
-    assert config.seed == 11
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    config = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+    assert config["speeds"] == [10.0, 12.0, 16.0]
+    assert config["seed"] == 11
 
 
 def test_seed_override_wins_and_reaches_network():
     assert parse_scenario_text(MINIMAL, seed_override=99).seed == 99
-    config = parse_scenario_text(TRACKING, seed_override=99)
-    assert config.seed == 99
-    assert config.network.seed == 99
+    # without disturbance the seed keys only the broadcast draws
+    text = TRACKING.replace("duration = 20", "duration = 2").replace(
+        "disturbance = 0.01", "disturbance = 0"
+    )
+    overridden = run(parse_scenario_text(text, seed_override=99))
+    written = run(parse_scenario_text(text.replace("seed = 4", "seed = 99")))
+    own = run(parse_scenario_text(text))
+    assert overridden.seed == 99
+    for name in ("x", "y", "theta", "net_delivered", "net_dropped"):
+        assert np.array_equal(getattr(overridden, name), getattr(written, name)), name
+    assert not np.array_equal(overridden.net_dropped, own.net_dropped)
 
 
 def test_comments_blank_lines_and_inline_comments():
