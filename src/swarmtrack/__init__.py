@@ -29,7 +29,6 @@ from .controllers import (
     build_A,
     control_terms,
     project_spacing_to_kernel,
-    saturate,
 )
 from .dynamics import (
     rk4_unicycle_arrays,
@@ -101,7 +100,6 @@ __all__ = [
     "rk4_unicycle_arrays",
     "run",
     "run_oracle_centroid",
-    "saturate",
     "simulate_phase_flow",
     "target_state",
     "tracking_metrics",

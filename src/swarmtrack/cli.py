@@ -11,8 +11,7 @@ Artifacts written by `run` (and per sweep case): trajectory.csv (one row per
 control step, wide format), summary.json, plot.gp (gnuplot script). Exit codes:
 0 success, 1 usage/parse/abort errors, 2 infeasible speed set. The scenario
 parser checks the speed set, so an infeasible file exits 1 naming the offending
-speed's line; 2 comes from `feasibility`, and from `_execute` when it is given
-an infeasible config built through the API.
+speed's line; exit code 2 comes only from `feasibility`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .analysis import (
     classify_equilibrium,
     perturbation_oracle,
 )
-from .engine import InfeasibleScenario, RunLog, ScenarioConfig, SimulationAborted, run
+from .engine import AGENT, RECORD_FIELDS, RunLog, ScenarioConfig, SimulationAborted, run
 from .scenario import ScenarioError, parse_scenario_text
 
 _FLOAT_FMT = "%.17g"  # shortest-guaranteed round trip for binary64
@@ -45,38 +44,24 @@ _FLOAT_FMT = "%.17g"  # shortest-guaranteed round trip for binary64
 # trajectory.csv
 
 
-# The trajectory.csv layout, in file order: t, then one block of per-agent
-# columns for each agent in turn (named with the agent's 1-based number), then
-# the group's columns. Each entry is (RunLog field, CSV name or names); a field
-# with two names is an (x, y) pair.
-_AGENT_COLUMNS = (
-    ("x", "x"), ("y", "y"), ("theta", "theta"), ("u_vel", "u_vel"), ("u_h", "u_ff"),
-    ("u_spc", "u_spc"), ("u_total", "u_tot"), ("dist_to_centroid", "dist"),
-)
-_GROUP_COLUMNS = (
-    ("centroid", ("centroid_x", "centroid_y")),
-    ("centroid_vel", ("centroid_vx", "centroid_vy")),
-    ("ref_pos", ("ref_x", "ref_y")),
-    ("ref_vel", ("ref_vx", "ref_vy")),
-    ("target_pos", ("target_x", "target_y")),
-    ("target_vel", ("target_vx", "target_vy")),
-    ("V", "V"), ("beta_norm", "beta_norm"), ("alpha_norm", "alpha_norm"),
-    ("net_sent", "net_sent"), ("net_decisions", "net_decisions"),
-    ("net_delivered", "net_delivered"), ("net_dropped", "net_dropped"),
-    ("stale_count", "stale_count"),
-)
-
-
 def _csv_layout(n: int) -> list[tuple]:
-    """(CSV name, RunLog field, column of that field or None), in file order."""
-    layout = [("t", "t", None)]
-    for k in range(n):
-        layout += [(f"{name}{k + 1}", field, k) for field, name in _AGENT_COLUMNS]
-    for field, names in _GROUP_COLUMNS:
-        if isinstance(names, str):
-            layout.append((names, field, None))
-        else:
-            layout += [(name, field, i) for i, name in enumerate(names)]
+    """(CSV name, RunLog field, column of that field or None), in file order.
+
+    The per-step fields of RunLog in declaration order, named as declared
+    (`engine.RECORD_FIELDS`), except that the per-agent fields form one block
+    per agent, in agent order, where the first of them is declared; a
+    per-agent column is named with the agent's 1-based number.
+    """
+    agent_fields = [(name, csv) for name, row, _, csv in RECORD_FIELDS if row == (AGENT,)]
+    layout = []
+    for name, row, _, csv in RECORD_FIELDS:
+        if name == agent_fields[0][0]:
+            layout += [(f"{prefix}{k + 1}", field, k)
+                       for k in range(n) for field, prefix in agent_fields]
+        elif row == (2,):
+            layout += [(pair_name, name, i) for i, pair_name in enumerate(csv)]
+        elif row == ():
+            layout.append((csv, name, None))
     return layout
 
 
@@ -373,7 +358,7 @@ def _run_sweep_case(args):
             "max_dist_after_transient": m["spacing"]["max_dist_after_transient"],
             "delivered_ratio": m["network"]["delivered_ratio"],
         }
-    except (ScenarioError, InfeasibleScenario, SimulationAborted) as exc:
+    except (ScenarioError, SimulationAborted) as exc:
         return index, f"error: {exc}", {}
 
 
@@ -452,15 +437,6 @@ def _cmd_run(args) -> int:
 def _execute(config: ScenarioConfig, out_dir) -> int:
     try:
         log = run(config)
-    except InfeasibleScenario as exc:
-        r = exc.report
-        print(
-            "infeasible speeds: "
-            f"v_min={r.v_min:g} vs bound={r.ref_speed_bound:g} (ok={r.condition1_ok}), "
-            f"v_max={r.v_max:g} vs sum_others={r.sum_others:g} (ok={r.condition2_ok})",
-            file=sys.stderr,
-        )
-        return 2
     except SimulationAborted as exc:
         write_artifacts(exc.log, out_dir, config)
         print(f"aborted: {exc} (partial artifacts in {out_dir})", file=sys.stderr)
@@ -506,15 +482,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    speeds = _parse_floats(args.speeds)
-    ref = _parse_floats(args.ref)
-    if len(ref) != 2:
-        print("error: --ref needs two numbers 'vx,vy'", file=sys.stderr)
-        return 1
     try:
+        speeds = _parse_floats(args.speeds)
+        ref = _parse_floats(args.ref)
+        if len(ref) != 2:
+            raise ValueError("--ref needs two numbers 'vx,vy'")
         spec = build_equilibrium(speeds, args.m, args.phi, ref)
+        rep = perturbation_oracle(spec, epsilon=args.epsilon, samples=args.samples,
+                                  seed=args.oracle_seed) if args.oracle else None
     except EquilibriumRejected as exc:
         print(f"rejected: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     verdict = classify_equilibrium(spec)
     print(f"class: {verdict.klass.value}")
@@ -522,9 +502,7 @@ def _cmd_classify(args) -> int:
     print("eigenvalues: " + " ".join(f"{v:.9g}" for v in verdict.eigenvalues))
     print(f"descent direction: {'yes' if verdict.has_descent_direction else 'no'}")
     print(f"ascent direction: {'yes' if verdict.has_ascent_direction else 'no'}")
-    if args.oracle:
-        rep = perturbation_oracle(spec, epsilon=args.epsilon, samples=args.samples,
-                                  seed=args.oracle_seed)
+    if rep is not None:
         print(
             f"perturbation oracle ({rep.samples} samples, eps={args.epsilon:g}): "
             f"{rep.decreased} decreased V, {rep.increased} increased V"
@@ -533,8 +511,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
-    speeds = _parse_floats(args.speeds)
-    report = check_feasibility(speeds, args.bound)
+    try:
+        report = check_feasibility(_parse_floats(args.speeds), args.bound)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"slowest speed {report.v_min:g} vs reference speed bound {report.ref_speed_bound:g}: "
           + ("ok" if report.condition1_ok else "VIOLATED"))
     print(f"fastest speed {report.v_max:g} vs sum of others {report.sum_others:g}: "

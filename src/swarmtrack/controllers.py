@@ -39,8 +39,8 @@ class ControllerGains:
 
     gamma is the velocity-tracking gain and is reused inside the spacing law;
     omega0 is the beacon angular rate. u_max, when set, symmetrically clamps
-    the total command (the decomposition is logged unclamped). feedforward
-    toggles the h term.
+    the total command (the decomposition is logged unclamped); a non-finite
+    command stays non-finite. feedforward toggles the h term.
     """
 
     gamma: float
@@ -186,9 +186,3 @@ def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
             u_spc, _ = project_spacing_to_kernel(u_spc, _A(vc, vs) if A is None else A)
     return u_vel, h, u_spc
 
-
-def saturate(total: float, u_max: float | None) -> float:
-    """Optional symmetric clamp on the total command."""
-    if u_max is None:
-        return total
-    return max(-u_max, min(u_max, total))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import check_feasibility, FeasibilityReport
-from .controllers import ControllerGains, control_terms, saturate
+from .controllers import ControllerGains, control_terms
 from .dynamics import rk4_unicycle_arrays, vec2, wrap_angle
 from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
@@ -159,6 +159,20 @@ class SimulationAborted(RuntimeError):
 # Run log
 
 
+AGENT = "n"  # the per-agent axis of a record row
+
+
+def _record(row=(), csv=None, dtype=np.float64):
+    """A RunLog field with one row per step.
+
+    row is the shape of one row: () for a scalar, (2,) for an (x, y) pair and
+    (AGENT,) for one entry per agent. csv names the trajectory.csv column (the
+    field's own name when None): a pair has two names, and a per-agent field
+    gives the prefix its agent's 1-based number is appended to.
+    """
+    return field(metadata={"row": row, "csv": csv, "dtype": dtype})
+
+
 @dataclass
 class RunLog:
     """Fixed-schema per-step record arrays.
@@ -169,31 +183,35 @@ class RunLog:
     is the number of stale received entries seen this step. In networked mode
     the reference columns are the observer reference (driven by the true
     centroid); V and alpha_norm measure against it.
+
+    Every per-step field declares its row shape, dtype and CSV name(s) with
+    `_record`; allocation, truncation and the trajectory.csv layout read them
+    from `RECORD_FIELDS`.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    u_vel: np.ndarray
-    u_h: np.ndarray
-    u_spc: np.ndarray
-    u_total: np.ndarray
-    dist_to_centroid: np.ndarray
-    centroid: np.ndarray
-    centroid_vel: np.ndarray
-    ref_pos: np.ndarray
-    ref_vel: np.ndarray
-    target_pos: np.ndarray
-    target_vel: np.ndarray
-    V: np.ndarray
-    beta_norm: np.ndarray
-    alpha_norm: np.ndarray
-    net_sent: np.ndarray
-    net_decisions: np.ndarray
-    net_delivered: np.ndarray
-    net_dropped: np.ndarray
-    stale_count: np.ndarray
+    t: np.ndarray = _record()
+    x: np.ndarray = _record((AGENT,))
+    y: np.ndarray = _record((AGENT,))
+    theta: np.ndarray = _record((AGENT,))
+    u_vel: np.ndarray = _record((AGENT,))
+    u_h: np.ndarray = _record((AGENT,), "u_ff")
+    u_spc: np.ndarray = _record((AGENT,))
+    u_total: np.ndarray = _record((AGENT,), "u_tot")
+    dist_to_centroid: np.ndarray = _record((AGENT,), "dist")
+    centroid: np.ndarray = _record((2,), ("centroid_x", "centroid_y"))
+    centroid_vel: np.ndarray = _record((2,), ("centroid_vx", "centroid_vy"))
+    ref_pos: np.ndarray = _record((2,), ("ref_x", "ref_y"))
+    ref_vel: np.ndarray = _record((2,), ("ref_vx", "ref_vy"))
+    target_pos: np.ndarray = _record((2,), ("target_x", "target_y"))
+    target_vel: np.ndarray = _record((2,), ("target_vx", "target_vy"))
+    V: np.ndarray = _record()
+    beta_norm: np.ndarray = _record()
+    alpha_norm: np.ndarray = _record()
+    net_sent: np.ndarray = _record(dtype=np.int64)
+    net_decisions: np.ndarray = _record(dtype=np.int64)
+    net_delivered: np.ndarray = _record(dtype=np.int64)
+    net_dropped: np.ndarray = _record(dtype=np.int64)
+    stale_count: np.ndarray = _record(dtype=np.int64)
     speeds: np.ndarray
     dt: float
     seed: int
@@ -209,115 +227,78 @@ class RunLog:
         return self.x.shape[1]
 
 
+# (name, row shape, dtype, CSV name or names) of each per-step RunLog field,
+# in declaration order.
+RECORD_FIELDS = tuple(
+    (f.name, f.metadata["row"], f.metadata["dtype"], f.metadata["csv"] or f.name)
+    for f in fields(RunLog) if "row" in f.metadata
+)
+
+
 def _alloc_log(rows: int, n: int, speeds, dt: float, seed: int) -> RunLog:
-    f = lambda *shape: np.zeros(shape)
-    i = lambda *shape: np.zeros(shape, dtype=np.int64)
-    return RunLog(
-        t=f(rows),
-        x=f(rows, n),
-        y=f(rows, n),
-        theta=f(rows, n),
-        u_vel=f(rows, n),
-        u_h=f(rows, n),
-        u_spc=f(rows, n),
-        u_total=f(rows, n),
-        dist_to_centroid=f(rows, n),
-        centroid=f(rows, 2),
-        centroid_vel=f(rows, 2),
-        ref_pos=f(rows, 2),
-        ref_vel=f(rows, 2),
-        target_pos=f(rows, 2),
-        target_vel=f(rows, 2),
-        V=f(rows),
-        beta_norm=f(rows),
-        alpha_norm=f(rows),
-        net_sent=i(rows),
-        net_decisions=i(rows),
-        net_delivered=i(rows),
-        net_dropped=i(rows),
-        stale_count=i(rows),
-        speeds=np.asarray(speeds, dtype=float).copy(),
-        dt=dt,
-        seed=seed,
-    )
+    arrays = {
+        name: np.zeros((rows, *(n if d == AGENT else d for d in row)), dtype)
+        for name, row, dtype, _ in RECORD_FIELDS
+    }
+    return RunLog(**arrays, speeds=np.asarray(speeds, dtype=float).copy(), dt=dt, seed=seed)
 
 
 def _truncate_log(log: RunLog, rows: int) -> RunLog:
-    for f in fields(RunLog):
-        value = getattr(log, f.name)
-        if isinstance(value, np.ndarray) and f.name != "speeds":  # speeds: one per agent
-            setattr(log, f.name, value[:rows])
+    for name, *_ in RECORD_FIELDS:
+        setattr(log, name, getattr(log, name)[:rows])
     return log
 
 
 # --------------------------------------------------------------------------
-# Reference streams
+# Reference signals
 
 _ZERO_ACC = (0.0, 0.0)
 
 
-class _RefStream:
-    """One integrated copy of the generated reference trajectory.
+def _sample_reference(row, ref_pos, ref_vel, ref_heading, target_pos, target_vel,
+                      target_acc, centroid, weight):
+    """The `reference_signal` tuple of one generated reference point at this step.
 
-    In networked mode each agent owns one (fed by its own centroid estimate
-    and target estimate); an extra observer copy, fed by ground truth, is what
-    the log reports.
+    Row `row` of ref_pos, ref_vel and ref_heading holds one integrated copy of
+    the reference trajectory. Row 0 is the observer's, fed by ground truth and
+    reported in the log; in networked tracking mode row k belongs to agent k,
+    fed by its own centroid and target estimates. Planar inputs are (x, y)
+    float pairs. The velocity is stored in ref_vel for the step's advance, and
+    the heading in ref_heading, which holds its last value while at rest.
 
     The turn rate and speed rate come from the closed-form derivative of the
     reference velocity (`reference_kinematics`), so jumps in the target
-    velocity or in a network estimate reset the reference instead of
-    feeding an impulse to the feedforward term.
-
-    The reference point is the integral of v_ref. `sample` returns the
-    `reference_signal` tuple, whose beacon_velocity is the target's velocity:
+    velocity or in a network estimate reset the reference instead of feeding
+    an impulse to the feedforward term. The beacon velocity is the target's:
     the beacon spacing term leads the reference point along it.
     """
-
-    def __init__(self, position0):
-        self.position = np.asarray(position0, dtype=float).copy()
-        self._vel = (0.0, 0.0)
-        self._theta = 0.0
-
-    def sample(self, target_pos, target_vel, target_acc, centroid, weight):
-        """Reference at the current step; planar inputs are (x, y) float pairs."""
-        vel, vdot = reference_kinematics(target_pos, target_vel, target_acc, centroid, weight)
-        v = math.hypot(vel[0], vel[1])
-        if v != 0.0:  # at rest the heading holds its last value
-            self._theta = math.atan2(vel[1], vel[0])
-        kappa, a = reference_rates(vel, vdot)
-        self._vel = vel
-        return reference_signal(self.position, v, self._theta, kappa, a, target_vel)
-
-    def advance(self, dt: float):
-        self.position = self.position + np.array(self._vel) * dt
+    vel, vdot = reference_kinematics(target_pos, target_vel, target_acc, centroid, weight)
+    v = math.hypot(vel[0], vel[1])
+    if v != 0.0:
+        ref_heading[row] = math.atan2(vel[1], vel[0])
+    kappa, a = reference_rates(vel, vdot)
+    ref_vel[row] = vel
+    return reference_signal(ref_pos[row], v, ref_heading.item(row), kappa, a, target_vel)
 
 
-class _ClosedFormRef:
-    """ConstantRef / TurningRef evaluated analytically each step."""
-
-    def __init__(self, mode: ReferenceMode, position0):
-        self.mode = mode
-        self.p0 = np.asarray(position0, dtype=float).copy()
-
-    def signal(self, t: float):
-        """The `reference_signal` tuple at time t."""
-        if isinstance(self.mode, ConstantRef):
-            vel = self.mode.velocity
-            v, th = polar_velocity(vel)
-            return reference_signal(self.p0 + t * vel, v, th, 0.0, 0.0, vel)
-        m: TurningRef = self.mode
-        th = m.heading0 + m.kappa * t
-        if m.kappa == 0.0:
-            pos = self.p0 + t * m.speed * np.array([math.cos(m.heading0), math.sin(m.heading0)])
-        else:
-            r = m.speed / m.kappa
-            pos = self.p0 + r * np.array(
-                [math.sin(th) - math.sin(m.heading0), math.cos(m.heading0) - math.cos(th)]
-            )
-        return reference_signal(
-            pos, m.speed, wrap_angle(th), m.kappa, 0.0,
-            m.speed * np.array([math.cos(th), math.sin(th)]),
+def _closed_form_reference(mode: ReferenceMode, p0: np.ndarray, t: float):
+    """The `reference_signal` tuple at time t of a ConstantRef or TurningRef starting at p0."""
+    if isinstance(mode, ConstantRef):
+        vel = mode.velocity
+        v, th = polar_velocity(vel)
+        return reference_signal(p0 + t * vel, v, th, 0.0, 0.0, vel)
+    th = mode.heading0 + mode.kappa * t
+    if mode.kappa == 0.0:
+        pos = p0 + t * mode.speed * np.array([math.cos(mode.heading0), math.sin(mode.heading0)])
+    else:
+        r = mode.speed / mode.kappa
+        pos = p0 + r * np.array(
+            [math.sin(th) - math.sin(mode.heading0), math.cos(mode.heading0) - math.cos(th)]
         )
+    return reference_signal(
+        pos, mode.speed, wrap_angle(th), mode.kappa, 0.0,
+        mode.speed * np.array([math.cos(th), math.sin(th)]),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -348,18 +329,19 @@ def run(config: ScenarioConfig) -> RunLog:
     centroid0 = vec2(x.mean(), y.mean())
 
     tracking = isinstance(config.reference_mode, TargetTracking)
-    closed_ref = None if tracking else _ClosedFormRef(config.reference_mode, centroid0)
-    obs_stream = _RefStream(centroid0) if tracking else None
-
     net = None
-    agent_streams = None
     if config.network is not None:
         net = BroadcastNetwork(config.network, n, config.seed)
         tpos0, tvel0 = (target_state(config.target, 0.0) if config.target is not None else (None, None))
         vel0 = np.column_stack((speeds * np.cos(th), speeds * np.sin(th)))
         net.initialize(np.column_stack((x, y)), vel0, tpos0, tvel0)
-        if tracking:
-            agent_streams = [_RefStream(centroid0) for _ in range(n)]
+    # Generated reference points (see _sample_reference): row 0 is the
+    # observer's, rows 1..n the agents' own in networked tracking mode.
+    ref_rows = 1 + n if tracking and net is not None else 1
+    ref_pos = np.tile(centroid0, (ref_rows, 1))
+    ref_vel = np.zeros((ref_rows, 2))
+    ref_heading = np.zeros(ref_rows)
+    agent_ids = np.arange(1, n + 1, dtype=np.uint64)
 
     u_vel_arr = np.zeros(n)
     u_h_arr = np.zeros(n)
@@ -382,12 +364,12 @@ def run(config: ScenarioConfig) -> RunLog:
 
         # Observer reference (always computed from ground truth; logged).
         if tracking:
-            obs_ref = obs_stream.sample(
-                tgt_pos.tolist(), tgt_vel.tolist(), tgt_acc.tolist(),
-                true_centroid.tolist(), config.weight,
+            obs_ref = _sample_reference(
+                0, ref_pos, ref_vel, ref_heading, tgt_pos.tolist(), tgt_vel.tolist(),
+                tgt_acc.tolist(), true_centroid.tolist(), config.weight,
             )
         else:
-            obs_ref = closed_ref.signal(t)
+            obs_ref = _closed_form_reference(config.reference_mode, centroid0, t)
 
         if net is None:
             u_vel_arr[:], u_h_arr[:], u_spc_arr[:] = control_terms(
@@ -403,9 +385,9 @@ def run(config: ScenarioConfig) -> RunLog:
                     tp, tv, t_stale = net.target_estimate(k, t)
                     stale_seen += int(t_stale)
                     # Broadcasts carry no acceleration, so agents take a_T = 0.
-                    ref_k = agent_streams[k - 1].sample(
-                        tp.tolist(), tv.tolist(), _ZERO_ACC, (pos_k.sum(axis=0) / n).tolist(),
-                        config.weight,
+                    ref_k = _sample_reference(
+                        k, ref_pos, ref_vel, ref_heading, tp.tolist(), tv.tolist(), _ZERO_ACC,
+                        (pos_k.sum(axis=0) / n).tolist(), config.weight,
                     )
                 else:
                     ref_k = obs_ref
@@ -417,12 +399,10 @@ def run(config: ScenarioConfig) -> RunLog:
                 u_tot_arr[k - 1] = u_vel[k - 1] + h[k - 1] + u_spc[k - 1]
 
         if config.disturbance > 0.0:
-            for k in range(n):
-                draw = counter_uniform(config.seed, SALT_DISTURB, m, k + 1)
-                u_tot_arr[k] += config.disturbance * (2.0 * draw - 1.0)
+            draws = counter_uniform(config.seed, SALT_DISTURB, m, agent_ids)
+            u_tot_arr += config.disturbance * (2.0 * draws - 1.0)
         if gains.u_max is not None:
-            for k in range(n):
-                u_tot_arr[k] = saturate(u_tot_arr[k], gains.u_max)
+            np.clip(u_tot_arr, -gains.u_max, gains.u_max, out=u_tot_arr)
 
         # Record the step (state at time t, command applied over [t, t+dt)).
         log.t[m] = t
@@ -462,10 +442,7 @@ def run(config: ScenarioConfig) -> RunLog:
         x, y, th = rk4_unicycle_arrays(x, y, th, speeds, u_tot_arr, dt)
         t_next = (m + 1) * dt
         if tracking:
-            obs_stream.advance(dt)
-            if agent_streams is not None:
-                for s in agent_streams:
-                    s.advance(dt)
+            ref_pos = ref_pos + ref_vel * dt  # not in place: obs_ref holds a row view
         if net is not None:
             if config.target is not None:
                 ntp, ntv = target_state(config.target, t_next)

@@ -39,7 +39,13 @@ def _splitmix64(z: int) -> int:
 
 
 def counter_uniform(seed: int, *ids: int) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by (seed, ids...)."""
+    """Deterministic uniform draw in [0, 1) keyed by (seed, ids...).
+
+    Any id may be a uint64 array: the draws are then an array of the same
+    shape, each equal to the call with that element as a Python int. An int64
+    array raises OverflowError on numpy 2.4: the 64-bit mask does not fit in
+    int64.
+    """
     state = _splitmix64(seed & _MASK)
     for v in ids:
         state = _splitmix64(state ^ (v & _MASK))

@@ -124,6 +124,55 @@ def _parse_pair(e: _Entry, what: str):
     return tuple(_finite(p, what, e.line, "two numbers") for p in parts)
 
 
+def _parse_spacing(e: _Entry, what: str) -> SpacingMode:
+    try:
+        return SpacingMode(e.value.strip().lower())
+    except ValueError:
+        raise ScenarioError(
+            f"{what}: expected off | beacon | beacon_projected, got '{e.value}'", e.line
+        ) from None
+
+
+def _optional(sec: _Section, table: dict, prefix: str = "") -> dict:
+    """Keyword arguments for the optional keys a section sets.
+
+    table maps each key to (dataclass field, parser); a parser's messages name
+    the value `prefix + key`. Keys the section leaves out are left out here
+    too, so each default lives only on its dataclass.
+    """
+    kwargs = {}
+    for key, (name, parse) in table.items():
+        e = sec.get(key)
+        if e is not None:
+            kwargs[name] = parse(e, prefix + key)
+    return kwargs
+
+
+_HEADING = {"heading": ("heading0", _parse_float)}
+_WAYPOINT_KEYS = {"dwell": ("dwell", _parse_float), "closed": ("closed", _parse_bool)}
+_CONTROLLER_KEYS = {
+    "omega0": ("omega0", _parse_float),
+    "spacing": ("spacing_mode", _parse_spacing),
+    "u_max": ("u_max", _parse_float),
+    "feedforward": ("feedforward", _parse_bool),
+}
+# Both network modes take the broadcast keys, so a sweep can switch the mode alone.
+_NETWORK_KEYS = {
+    "agent_rate": ("agent_rate", _parse_float),
+    "target_rate": ("target_rate", _parse_float),
+    "loss": ("loss_probability", _parse_float),
+    "delay": ("delay", _parse_float),
+    "jitter": ("jitter", _parse_float),
+    "extrapolate": ("extrapolate", _parse_bool),
+    "staleness_budget": ("staleness_budget", _parse_float),
+}
+_SIM_KEYS = {
+    "seed": ("seed", _parse_int),
+    "disturbance": ("disturbance", _parse_float),
+    "allow_infeasible": ("allow_infeasible", _parse_bool),
+}
+
+
 def _tokenize(text: str):
     """Yield (kind, payload, line) for section headers and key-value pairs."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,22 +249,18 @@ def _build_target(sec: _Section | None):
         y = _parse_float(sec.require("y"), "target y")
         speed = _parse_float(sec.require("speed"), "target speed")
         kappa = _parse_float(sec.require("kappa"), "target kappa")
-        h = sec.get("heading")
-        heading0 = _parse_float(h, "target heading") if h else 0.0
         cls = TurningTarget
-        kwargs = dict(initial_position=(x, y), speed=speed, kappa=kappa, heading0=heading0)
+        kwargs = dict(initial_position=(x, y), speed=speed, kappa=kappa,
+                      **_optional(sec, _HEADING, "target "))
     elif program == "waypoints":
         speed = _parse_float(sec.require("speed"), "target speed")
-        d = sec.get("dwell")
-        dwell = _parse_float(d, "target dwell") if d else 0.0
-        c = sec.get("closed")
-        closed = _parse_bool(c, "target closed") if c else True
+        options = _optional(sec, _WAYPOINT_KEYS, "target ")
         wp_entries = sec.get_multi("waypoint")
         if not wp_entries:
             raise ScenarioError("waypoints program needs at least one 'waypoint = x y'", sec.line)
         waypoints = [_parse_pair(e, "waypoint") for e in wp_entries]
         cls = WaypointTarget
-        kwargs = dict(waypoints=waypoints, speed=speed, dwell=dwell, closed=closed)
+        kwargs = dict(waypoints=waypoints, speed=speed, **options)
     else:
         raise ScenarioError(
             f"unknown target program '{program}' (constant_velocity | turning | waypoints)",
@@ -250,26 +295,10 @@ def _build_controller(sec: _Section | None):
     if sec is None:
         raise ScenarioError("missing [controller] section")
     gamma = _parse_float(sec.require("gamma"), "gamma")
-    o = sec.get("omega0")
-    omega0 = _parse_float(o, "omega0") if o else 0.25
-    s = sec.get("spacing")
-    spacing = SpacingMode.OFF
-    if s:
-        try:
-            spacing = SpacingMode(s.value.strip().lower())
-        except ValueError:
-            raise ScenarioError(
-                f"spacing: expected off | beacon | beacon_projected, got '{s.value}'", s.line
-            ) from None
-    u = sec.get("u_max")
-    u_max = _parse_float(u, "u_max") if u else None
-    ff = sec.get("feedforward")
-    feedforward = _parse_bool(ff, "feedforward") if ff else True
+    options = _optional(sec, _CONTROLLER_KEYS)
     sec.check_no_unknown()
     try:
-        return ControllerGains(
-            gamma=gamma, omega0=omega0, spacing_mode=spacing, u_max=u_max, feedforward=feedforward
-        )
+        return ControllerGains(gamma=gamma, **options)
     except ValueError as exc:
         raise ScenarioError(str(exc), sec.line) from None
 
@@ -286,10 +315,9 @@ def _build_reference(sec: _Section | None):
     elif mode == "turning":
         speed = _parse_float(sec.require("speed"), "reference speed")
         kappa = _parse_float(sec.require("kappa"), "reference kappa")
-        h = sec.get("heading")
-        heading0 = _parse_float(h, "reference heading") if h else 0.0
+        options = _optional(sec, _HEADING, "reference ")
         try:
-            ref = TurningRef(speed=speed, kappa=kappa, heading0=heading0)
+            ref = TurningRef(speed=speed, kappa=kappa, **options)
         except ValueError as exc:
             raise ScenarioError(str(exc), sec.line) from None
     elif mode == "target_tracking":
@@ -312,30 +340,10 @@ def _build_network(sec: _Section | None):
         raise ScenarioError(
             f"unknown network mode '{mode}' (ground_truth | broadcast)", sec.require("mode").line
         )
-    # Both modes take the broadcast keys, so a sweep can switch the mode alone.
-    def fget(key, default):
-        e = sec.get(key)
-        return _parse_float(e, key) if e else default
-    agent_rate = fget("agent_rate", 10.0)
-    target_rate = fget("target_rate", 5.0)
-    loss = fget("loss", 0.0)
-    delay = fget("delay", 0.0)
-    jitter = fget("jitter", 0.0)
-    e = sec.get("extrapolate")
-    extrapolate = _parse_bool(e, "extrapolate") if e else False
-    sb = sec.get("staleness_budget")
-    staleness = _parse_float(sb, "staleness_budget") if sb else None
+    options = _optional(sec, _NETWORK_KEYS)
     sec.check_no_unknown()
     try:
-        config = NetworkConfig(
-            agent_rate=agent_rate,
-            target_rate=target_rate,
-            loss_probability=loss,
-            delay=delay,
-            jitter=jitter,
-            extrapolate=extrapolate,
-            staleness_budget=staleness,
-        )
+        config = NetworkConfig(**options)
     except ValueError as exc:
         raise ScenarioError(str(exc), sec.line) from None
     return config if mode == "broadcast" else None
@@ -365,15 +373,12 @@ def parse_scenario_text(text: str, seed_override: int | None = None,
             "(it must exceed half a step)",
             duration_entry.line,
         )
-    e = sim.get("seed")
-    seed = _parse_int(e, "seed") if e else 0
-    e = sim.get("disturbance")
-    disturbance = _parse_float(e, "disturbance") if e else 0.0
-    e = sim.get("allow_infeasible")
-    allow = (_parse_bool(e, "allow_infeasible") if e else False) or allow_infeasible
+    options = _optional(sim, _SIM_KEYS)
     sim.check_no_unknown()
     if seed_override is not None:
-        seed = seed_override
+        options["seed"] = seed_override
+    if allow_infeasible:
+        options["allow_infeasible"] = True
 
     gains = _build_controller(singles.get("controller"))
     ref_mode, weight = _build_reference(singles.get("reference"))
@@ -395,15 +400,13 @@ def parse_scenario_text(text: str, seed_override: int | None = None,
             weight=weight,
             network=network,
             dt=dt,
-            seed=seed,
-            disturbance=disturbance,
-            allow_infeasible=allow,
+            **options,
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
     report = config.feasibility()
-    if not report.feasible and not allow:
+    if not report.feasible and not config.allow_infeasible:
         speeds = config.speeds
         if not report.condition1_ok:
             line = speed_lines[int(np.argmin(speeds))]

@@ -22,8 +22,7 @@ from swarmtrack.cli import (
     write_plot_script,
     write_trajectory_csv,
 )
-from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
-from swarmtrack.controllers import ControllerGains
+from swarmtrack.engine import run
 from swarmtrack.scenario import ScenarioError, parse_scenario_text
 
 SMALL = """\
@@ -321,20 +320,6 @@ def test_cli_run_infeasible_scenario_reported_at_parse(tmp_path, capsys):
     assert rc == 0
 
 
-def test_execute_returns_2_on_infeasible_config(tmp_path, capsys):
-    config = ScenarioConfig(
-        agents=(AgentInit((0, 0), 0.0, 1.0), AgentInit((5, 0), 1.0, 5.0)),
-        gains=ControllerGains(gamma=0.1),
-        reference_mode=ConstantRef(velocity=(0.5, 0.0)),
-        duration=1.0,
-    )
-    rc = cli._execute(config, tmp_path / "out")
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "infeasible speeds" in captured.err
-    assert not (tmp_path / "out").exists()
-
-
 def test_cli_run_abort_exits_1_with_partial_artifacts(tmp_path, capsys):
     scenario = tmp_path / "blowup.ini"
     scenario.write_text(SMALL.replace("gamma = 0.1", "gamma = 1e308"), encoding="utf-8")
@@ -387,6 +372,27 @@ def test_cli_classify_bad_ref(capsys):
     rc = cli.main(["classify", "--speeds", "1,2", "--m", "0", "--ref", "1,2,3"])
     assert rc == 1
     assert "two numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["feasibility", "--speeds", "10,x", "--bound", "2"], "could not convert"),
+        (["feasibility", "--speeds", "10,-1", "--bound", "2"], "positive"),
+        (["feasibility", "--speeds", "10,12", "--bound", "-1"], "non-negative"),
+        (["classify", "--speeds", "1,0", "--m", "1"], "positive"),
+        (["classify", "--speeds", "1,2", "--m", "5"], "m must lie in 0..2"),
+        (["classify", "--speeds", "1,x", "--m", "1"], "could not convert"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--samples", "5"],
+         "at least 100 samples"),
+    ],
+)
+def test_cli_bad_numbers_exit_1_with_error_line(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_cli_feasibility_exit_codes(capsys):

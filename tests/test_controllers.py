@@ -22,9 +22,9 @@ from swarmtrack.controllers import (
     build_A,
     control_terms,
     project_spacing_to_kernel,
-    saturate,
 )
 from swarmtrack.dynamics import rk4_unicycle_arrays, wrap_angle
+from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
 from swarmtrack.reference import reference_signal
 
 
@@ -428,10 +428,23 @@ def test_rotation_equivariance(ang):
 
 
 def test_saturate():
-    assert saturate(0.7, 0.5) == 0.5
-    assert saturate(-0.7, 0.5) == -0.5
-    assert saturate(0.3, 0.5) == 0.3
-    assert saturate(99.0, None) == 99.0
+    # u_max clamps the applied command, and only it, to [-u_max, u_max]
+    u_max = 0.3
+    config = ScenarioConfig(
+        agents=(
+            AgentInit((0.0, 0.0), 0.4, 10.0),
+            AgentInit((50.0, 0.0), 2.0, 12.0),
+            AgentInit((0.0, 50.0), -1.2, 16.0),
+        ),
+        gains=ControllerGains(gamma=0.3, u_max=u_max),
+        reference_mode=ConstantRef(velocity=(2.0, 0.0)),
+        duration=2.0,
+        dt=0.02,
+    )
+    log = run(config)
+    unclamped = log.u_vel + log.u_h + log.u_spc
+    np.testing.assert_array_equal(log.u_total, np.clip(unclamped, -u_max, u_max))
+    assert (np.abs(unclamped) > u_max).any() and (np.abs(unclamped) < u_max).any()
 
 
 def test_gains_validation():

@@ -302,6 +302,18 @@ def test_disturbance_bounded_and_logged():
     assert np.any(np.abs(slack) > 0.0)
 
 
+def test_u_max_does_not_hide_a_non_finite_command():
+    # inf - inf in the beacon term gives a NaN command; it must abort the run,
+    # not be clamped to +u_max
+    gains = ControllerGains(gamma=1e308, u_max=0.5, spacing_mode=SpacingMode.BEACON)
+    cfg = basic_config(gains=gains, duration=5.0)
+    with np.errstate(all="ignore"), pytest.raises(SimulationAborted) as exc:
+        run(cfg)
+    log = exc.value.log
+    assert log.rows < cfg.steps
+    assert not np.isfinite(log.u_total[-1]).all()
+
+
 def test_u_max_clamps_total_only():
     gains = ControllerGains(gamma=5.0, u_max=0.2)
     log = run(basic_config(gains=gains, duration=2.0))

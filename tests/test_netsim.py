@@ -42,6 +42,30 @@ def test_counter_uniform_covers_unit_interval():
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
 
 
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    ids=st.lists(st.integers(-(2**31), 2**40), min_size=0, max_size=3),
+    keys=st.lists(_U64, min_size=1, max_size=8),
+    at=st.integers(0, 3),
+)
+def test_counter_uniform_array_key_matches_scalar_calls(seed, ids, keys, at):
+    # a uint64 key array anywhere among the ids draws what per-key calls draw
+    at = min(at, len(ids))
+    array = counter_uniform(seed, *ids[:at], np.array(keys, dtype=np.uint64), *ids[at:])
+    scalar = [counter_uniform(seed, *ids[:at], k, *ids[at:]) for k in keys]
+    assert array.dtype == np.float64
+    assert array.tolist() == scalar
+
+
+def test_counter_uniform_refuses_int64_keys():
+    with pytest.raises(OverflowError):
+        counter_uniform(1, 2, np.arange(3))
+
+
 # --------------------------------------------------------------------------
 # emission scheduling
 
