@@ -18,15 +18,12 @@ from .analysis import (
     check_feasibility,
     classify_equilibrium,
     hessian,
-    order_parameter,
     perturbation_oracle,
     simulate_phase_flow,
-    tracking_metrics,
 )
 from .controllers import (
     ControllerGains,
     SpacingMode,
-    build_A,
     control_terms,
     project_spacing_to_kernel,
 )
@@ -85,14 +82,12 @@ __all__ = [
     "TurningRef",
     "TurningTarget",
     "WaypointTarget",
-    "build_A",
     "build_equilibrium",
     "check_feasibility",
     "classify_equilibrium",
     "control_terms",
     "counter_uniform",
     "hessian",
-    "order_parameter",
     "parse_scenario_text",
     "perturbation_oracle",
     "project_spacing_to_kernel",
@@ -102,7 +97,6 @@ __all__ = [
     "run_oracle_centroid",
     "simulate_phase_flow",
     "target_state",
-    "tracking_metrics",
     "wrap_angle",
     "wrap_angles",
 ]

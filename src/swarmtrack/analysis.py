@@ -311,40 +311,3 @@ def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps):
     ey = (v * s).mean(axis=1) - ref[1]
     vh[:, n_steps] = 0.5 * (ex * ex + ey * ey)
     return vh, th
-
-
-# --------------------------------------------------------------------------
-# Post-run tracking metrics
-
-
-def order_parameter(headings) -> float:
-    """Magnitude of (1/n) sum e^{i th_k}: 1 when all headings agree."""
-    headings = np.asarray(headings, dtype=float)
-    return float(
-        math.hypot(float(np.cos(headings).mean()), float(np.sin(headings).mean()))
-    )
-
-
-def tracking_metrics(log) -> dict:
-    """Recompute the headline time series from a run log's state columns.
-
-    Everything is derived from the per-agent states and the logged
-    reference/target columns, independently of the engine's own bookkeeping
-    columns, so this doubles as a consistency check on the log.
-    """
-    cx = log.x.mean(axis=1)
-    cy = log.y.mean(axis=1)
-    cvx = (log.speeds * np.cos(log.theta)).mean(axis=1)
-    cvy = (log.speeds * np.sin(log.theta)).mean(axis=1)
-    alpha = np.hypot(cvx - log.ref_vel[:, 0], cvy - log.ref_vel[:, 1])
-    beta = np.hypot(cx - log.target_pos[:, 0], cy - log.target_pos[:, 1])
-    dists = np.hypot(log.x - cx[:, None], log.y - cy[:, None])
-    order = np.hypot(np.cos(log.theta).mean(axis=1), np.sin(log.theta).mean(axis=1))
-    return {
-        "t": log.t,
-        "V": 0.5 * alpha**2,
-        "alpha_norm": alpha,
-        "beta_norm": beta,
-        "dist_to_centroid": dists,
-        "order_param_norm": order,
-    }

@@ -35,7 +35,7 @@ from .analysis import (
     perturbation_oracle,
 )
 from .engine import AGENT, RECORD_FIELDS, RunLog, ScenarioConfig, SimulationAborted, run
-from .scenario import ScenarioError, parse_scenario_text
+from .scenario import REPEATABLE_KEYS, ScenarioError, parse_scenario_text
 
 _FLOAT_FMT = "%.17g"  # shortest-guaranteed round trip for binary64
 
@@ -139,18 +139,17 @@ def _clean(value):
     return value
 
 
-def summarize_columns(cols: dict, dt: float, transient_time: float | None = None) -> dict:
+def summarize_columns(cols: dict, dt: float) -> dict:
     """Run metrics from CSV columns alone (so summaries are reproducible
     from the trajectory file by anyone, without rerunning the simulation).
 
-    transient_time defaults to half the run; after-transient statistics are
-    taken over t >= transient_time.
+    The transient is the first half of the run; after-transient statistics
+    are taken over t >= transient_time.
     """
     t = cols["t"]
     rows = len(t)
     duration = rows * dt
-    if transient_time is None:
-        transient_time = 0.5 * duration
+    transient_time = 0.5 * duration
     tail = t >= transient_time
     if not tail.any():
         tail = np.ones(rows, dtype=bool)
@@ -197,8 +196,7 @@ def summarize_columns(cols: dict, dt: float, transient_time: float | None = None
     return out
 
 
-def summarize(log: RunLog, config: ScenarioConfig | None = None,
-              transient_time: float | None = None) -> dict:
+def summarize(log: RunLog, config: ScenarioConfig | None = None) -> dict:
     """Build the summary dict for a run.
 
     The "metrics" group is computed purely from the CSV column data; the
@@ -213,7 +211,7 @@ def summarize(log: RunLog, config: ScenarioConfig | None = None,
             "seed": log.seed,
             "aborted": log.aborted,
         },
-        "metrics": summarize_columns(_log_columns(log), log.dt, transient_time),
+        "metrics": summarize_columns(_log_columns(log), log.dt),
     }
     report = log.meta.get("feasibility")
     if report is not None:
@@ -295,8 +293,8 @@ def write_artifacts(log: RunLog, out_dir, config: ScenarioConfig | None = None) 
 def override_scenario_text(text: str, section: str, key: str, value: str) -> str:
     """Return text with `key = value` set inside every [section] block.
 
-    Replaces the key where present, otherwise inserts it right after the
-    section header. The section must exist.
+    Replaces the key where present, otherwise appends it at the end of the
+    section block. The section must exist.
     """
     lines = text.splitlines()
     out = []
@@ -468,6 +466,11 @@ def _cmd_sweep(args) -> int:
             if section == "agents":
                 raise ScenarioError(
                     "sweeping [agents] keys is not supported (sections repeat per agent)"
+                )
+            if (section, key) in REPEATABLE_KEYS:
+                raise ScenarioError(
+                    f"sweeping the repeatable key {section}.{key} is not supported "
+                    f"(every '{key}' line would get the same value)"
                 )
         rows = run_sweep(text, params, args.out, args.seed, parallel=args.parallel,
                          allow_infeasible=args.allow_infeasible)

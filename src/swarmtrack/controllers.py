@@ -58,19 +58,13 @@ class ControllerGains:
             raise ValueError("u_max must be positive when set")
 
 
-def build_A(speeds, headings) -> np.ndarray:
-    """2 x n matrix with column k = (1/n) * i v_k e^{i th_k}.
+def _A(vc: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """2 x n matrix with column k = (1/n) * i v_k e^{i th_k}, from the
+    heading-vector components vc = v cos th and vs = v sin th.
 
     A maps stacked heading rates to the induced centroid acceleration, so the
     feedforward condition is A h = b.
     """
-    speeds = np.asarray(speeds, dtype=float)
-    headings = np.asarray(headings, dtype=float)
-    return _A(speeds * np.cos(headings), speeds * np.sin(headings))
-
-
-def _A(vc: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """A from the heading-vector components vc = v cos th and vs = v sin th."""
     return np.array([-vs, vc]) / len(vc)
 
 

@@ -76,8 +76,11 @@ class TurningRef:
 
 @dataclass(frozen=True)
 class TargetTracking:
-    """Reference generated online from the target and the centroid estimate;
-    its speed bound is the target program's."""
+    """Reference generated online from the target and the centroid estimate,
+    which `weight` pulls toward the target; its speed bound is the target
+    program's."""
+
+    weight: WeightFunction
 
 
 ReferenceMode = ConstantRef | TurningRef | TargetTracking
@@ -92,7 +95,6 @@ class ScenarioConfig:
     reference_mode: ReferenceMode
     duration: float
     target: TargetProgram | None = None
-    weight: WeightFunction | None = None
     network: NetworkConfig | None = None  # None = ground-truth information
     dt: float = 0.01
     seed: int = 0
@@ -110,9 +112,8 @@ class ScenarioConfig:
                 f"duration {self.duration} s is at most half a step of dt = {self.dt} s: "
                 "the run would have no steps"
             )
-        if isinstance(self.reference_mode, TargetTracking):
-            if self.target is None or self.weight is None:
-                raise ValueError("target tracking requires a target program and a weight function")
+        if isinstance(self.reference_mode, TargetTracking) and self.target is None:
+            raise ValueError("target tracking requires a target program")
         if self.disturbance < 0.0:
             raise ValueError("disturbance amplitude must be non-negative")
 
@@ -329,6 +330,7 @@ def run(config: ScenarioConfig) -> RunLog:
     centroid0 = vec2(x.mean(), y.mean())
 
     tracking = isinstance(config.reference_mode, TargetTracking)
+    weight = config.reference_mode.weight if tracking else None
     net = None
     if config.network is not None:
         net = BroadcastNetwork(config.network, n, config.seed)
@@ -366,7 +368,7 @@ def run(config: ScenarioConfig) -> RunLog:
         if tracking:
             obs_ref = _sample_reference(
                 0, ref_pos, ref_vel, ref_heading, tgt_pos.tolist(), tgt_vel.tolist(),
-                tgt_acc.tolist(), true_centroid.tolist(), config.weight,
+                tgt_acc.tolist(), true_centroid.tolist(), weight,
             )
         else:
             obs_ref = _closed_form_reference(config.reference_mode, centroid0, t)
@@ -387,7 +389,7 @@ def run(config: ScenarioConfig) -> RunLog:
                     # Broadcasts carry no acceleration, so agents take a_T = 0.
                     ref_k = _sample_reference(
                         k, ref_pos, ref_vel, ref_heading, tp.tolist(), tv.tolist(), _ZERO_ACC,
-                        (pos_k.sum(axis=0) / n).tolist(), config.weight,
+                        (pos_k.sum(axis=0) / n).tolist(), weight,
                     )
                 else:
                     ref_k = obs_ref
@@ -485,7 +487,7 @@ def run_oracle_centroid(config: ScenarioConfig) -> RunLog:
 
     tpos0, _ = target_state(config.target, 0.0)
     beta = centroid0 - tpos0
-    w = config.weight
+    w = config.reference_mode.weight
 
     log = _alloc_log(steps, n, speeds, dt, config.seed)
     log.meta["feasibility"] = config.feasibility()

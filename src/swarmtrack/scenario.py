@@ -5,12 +5,16 @@ pairs, `#`/`;` comments, blank lines. The `[agents]` section repeats once per
 agent; every other section appears at most once. Unknown sections and keys are
 hard errors, and every diagnostic carries its line number — scenario files are
 an interface, so silent tolerance of typos would be worse than strictness.
+
+Each section (and each `[target]` program and `[reference]` mode) is read
+through one table that maps a file key to `(constructor keyword, parser,
+required)`; a key the file leaves out is left out of the constructor call, so
+each default lives only on its dataclass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,55 +39,33 @@ class ScenarioError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-@dataclass
-class _Entry:
-    value: str
-    line: int
+_KNOWN_SECTIONS = {"agents", "target", "controller", "reference", "network", "sim"}
+# The keys a section may set more than once, each with the form of one value
+# (for the message when none is set); every other key appears at most once.
+REPEATABLE_KEYS = {("target", "waypoint"): "x y"}
 
 
 class _Section:
-    """One parsed section: keys with line info, plus consumption tracking."""
+    """One parsed section: each key's (value, line) entries in file order."""
 
     def __init__(self, name: str, line: int):
         self.name = name
         self.line = line
-        self.entries: dict[str, _Entry] = {}
-        self.multi: dict[str, list[_Entry]] = {}
-        self._used: set[str] = set()
+        self.entries: dict[str, list[tuple[str, int]]] = {}
 
-    def add(self, key: str, value: str, line: int, repeatable: bool):
-        if repeatable:
-            self.multi.setdefault(key, []).append(_Entry(value, line))
-            return
-        if key in self.entries:
+    def add(self, key: str, value: str, line: int):
+        entries = self.entries.setdefault(key, [])
+        if entries and (self.name, key) not in REPEATABLE_KEYS:
             raise ScenarioError(f"duplicate key '{key}' in [{self.name}]", line)
-        self.entries[key] = _Entry(value, line)
+        entries.append((value, line))
 
-    def get(self, key: str) -> _Entry | None:
-        self._used.add(key)
-        return self.entries.get(key)
-
-    def get_multi(self, key: str) -> list[_Entry]:
-        self._used.add(key)
-        return self.multi.get(key, [])
-
-    def require(self, key: str) -> _Entry:
-        e = self.get(key)
-        if e is None:
-            raise ScenarioError(f"[{self.name}] is missing required key '{key}'", self.line)
-        return e
-
-    def check_no_unknown(self):
-        for key, e in self.entries.items():
-            if key not in self._used:
-                raise ScenarioError(f"unknown key '{key}' in [{self.name}]", e.line)
-        for key, entries in self.multi.items():
-            if key not in self._used:
-                raise ScenarioError(f"unknown key '{key}' in [{self.name}]", entries[0].line)
+    def line_of(self, key: str) -> int:
+        return self.entries[key][0][1]
 
 
-_KNOWN_SECTIONS = {"agents", "target", "controller", "reference", "network", "sim"}
-_MULTI_KEYS = {("target", "waypoint")}
+# --------------------------------------------------------------------------
+# Value parsers: parse(raw, what, line), where `what` names the value in
+# messages.
 
 
 def _finite(raw: str, what: str, line: int, expected: str = "a number") -> float:
@@ -97,80 +79,171 @@ def _finite(raw: str, what: str, line: int, expected: str = "a number") -> float
     return value
 
 
-def _parse_float(e: _Entry, what: str) -> float:
-    return _finite(e.value, what, e.line)
-
-
-def _parse_int(e: _Entry, what: str) -> int:
+def _int(raw: str, what: str, line: int) -> int:
     try:
-        return int(e.value)
+        return int(raw)
     except ValueError:
-        raise ScenarioError(f"{what}: expected an integer, got '{e.value}'", e.line) from None
+        raise ScenarioError(f"{what}: expected an integer, got '{raw}'", line) from None
 
 
-def _parse_bool(e: _Entry, what: str) -> bool:
-    v = e.value.strip().lower()
+def _bool(raw: str, what: str, line: int) -> bool:
+    v = raw.strip().lower()
     if v in ("true", "on", "yes", "1"):
         return True
     if v in ("false", "off", "no", "0"):
         return False
-    raise ScenarioError(f"{what}: expected on/off, got '{e.value}'", e.line)
+    raise ScenarioError(f"{what}: expected on/off, got '{raw}'", line)
 
 
-def _parse_pair(e: _Entry, what: str):
-    parts = e.value.replace(",", " ").split()
+def _pair(raw: str, what: str, line: int):
+    parts = raw.replace(",", " ").split()
     if len(parts) != 2:
-        raise ScenarioError(f"{what}: expected two numbers, got '{e.value}'", e.line)
-    return tuple(_finite(p, what, e.line, "two numbers") for p in parts)
+        raise ScenarioError(f"{what}: expected two numbers, got '{raw}'", line)
+    return tuple(_finite(p, what, line, "two numbers") for p in parts)
 
 
-def _parse_spacing(e: _Entry, what: str) -> SpacingMode:
+def _spacing(raw: str, what: str, line: int) -> SpacingMode:
     try:
-        return SpacingMode(e.value.strip().lower())
+        return SpacingMode(raw.strip().lower())
     except ValueError:
         raise ScenarioError(
-            f"{what}: expected off | beacon | beacon_projected, got '{e.value}'", e.line
+            f"{what}: expected off | beacon | beacon_projected, got '{raw}'", line
         ) from None
 
 
-def _optional(sec: _Section, table: dict, prefix: str = "") -> dict:
-    """Keyword arguments for the optional keys a section sets.
+_WEIGHTS = {"constant": ConstantWeight, "distance_dependent": DistanceDependentWeight}
 
-    table maps each key to (dataclass field, parser); a parser's messages name
-    the value `prefix + key`. Keys the section leaves out are left out here
-    too, so each default lives only on its dataclass.
+
+def _weight(raw: str, what: str, line: int):
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ScenarioError(f"{what}: expected 'constant W' or 'distance_dependent SCALE'", line)
+    kind = parts[0].lower()
+    value = _finite(parts[1], what, line)
+    if kind not in _WEIGHTS:
+        raise ScenarioError(f"unknown weight variant '{kind}'", line)
+    try:
+        return _WEIGHTS[kind](value)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), line) from None
+
+
+# --------------------------------------------------------------------------
+# Key tables: file key -> (constructor keyword, parser, required). Two keys
+# that share a keyword (x and y) give it the pair of their values.
+
+_AGENT_KEYS = {
+    "x": ("position", _finite, True),
+    "y": ("position", _finite, True),
+    "heading": ("heading", _finite, True),
+    "speed": ("speed", _finite, True),
+}
+_TARGETS = {
+    "constant_velocity": (ConstantVelocityTarget, {
+        "x": ("initial_position", _finite, True),
+        "y": ("initial_position", _finite, True),
+        "vx": ("velocity", _finite, True),
+        "vy": ("velocity", _finite, True),
+    }),
+    "turning": (TurningTarget, {
+        "x": ("initial_position", _finite, True),
+        "y": ("initial_position", _finite, True),
+        "speed": ("speed", _finite, True),
+        "kappa": ("kappa", _finite, True),
+        "heading": ("heading0", _finite, False),
+    }),
+    "waypoints": (WaypointTarget, {
+        "speed": ("speed", _finite, True),
+        "dwell": ("dwell", _finite, False),
+        "closed": ("closed", _bool, False),
+        "waypoint": ("waypoints", _pair, True),
+    }),
+}
+_CONTROLLER_KEYS = {
+    "gamma": ("gamma", _finite, True),
+    "omega0": ("omega0", _finite, False),
+    "spacing": ("spacing_mode", _spacing, False),
+    "u_max": ("u_max", _finite, False),
+    "feedforward": ("feedforward", _bool, False),
+}
+_REFERENCES = {
+    "constant": (ConstantRef, {
+        "vx": ("velocity", _finite, True),
+        "vy": ("velocity", _finite, True),
+    }),
+    "turning": (TurningRef, {
+        "speed": ("speed", _finite, True),
+        "kappa": ("kappa", _finite, True),
+        "heading": ("heading0", _finite, False),
+    }),
+    "target_tracking": (TargetTracking, {
+        "weight": ("weight", _weight, True),
+    }),
+}
+# Both network modes take the broadcast keys, so a sweep can switch the mode
+# alone; the keys are validated in either mode.
+_NETWORK_MODES = {"ground_truth": False, "broadcast": True}
+_NETWORK_KEYS = {
+    "agent_rate": ("agent_rate", _finite, False),
+    "target_rate": ("target_rate", _finite, False),
+    "loss": ("loss_probability", _finite, False),
+    "delay": ("delay", _finite, False),
+    "jitter": ("jitter", _finite, False),
+    "extrapolate": ("extrapolate", _bool, False),
+    "staleness_budget": ("staleness_budget", _finite, False),
+}
+_SIM_KEYS = {
+    "duration": ("duration", _finite, True),
+    "dt": ("dt", _finite, False),
+    "seed": ("seed", _int, False),
+    "disturbance": ("disturbance", _finite, False),
+    "allow_infeasible": ("allow_infeasible", _bool, False),
+}
+
+
+def _values(sec: _Section, table: dict, prefix: str = "") -> dict:
+    """Constructor keywords for the keys a section sets, read through table.
+
+    A parser's messages name the value `prefix + key`. A key outside the table
+    is reported at its own line, a missing required key at the section's.
     """
+    unknown = sec.entries.keys() - table.keys()
+    if unknown:
+        key = min(unknown, key=sec.line_of)
+        raise ScenarioError(f"unknown key '{key}' in [{sec.name}]", sec.line_of(key))
     kwargs = {}
-    for key, (name, parse) in table.items():
-        e = sec.get(key)
-        if e is not None:
-            kwargs[name] = parse(e, prefix + key)
+    for key, (name, parse, required) in table.items():
+        form = REPEATABLE_KEYS.get((sec.name, key))
+        entries = sec.entries.get(key)
+        if entries is None:
+            if required:
+                message = (f"needs at least one '{key} = {form}'" if form
+                           else f"is missing required key '{key}'")
+                raise ScenarioError(f"[{sec.name}] {message}", sec.line)
+            continue
+        values = [parse(value, prefix + key, line) for value, line in entries]
+        value = values if form else values[0]
+        kwargs[name] = (kwargs[name], value) if name in kwargs else value
     return kwargs
 
 
-_HEADING = {"heading": ("heading0", _parse_float)}
-_WAYPOINT_KEYS = {"dwell": ("dwell", _parse_float), "closed": ("closed", _parse_bool)}
-_CONTROLLER_KEYS = {
-    "omega0": ("omega0", _parse_float),
-    "spacing": ("spacing_mode", _parse_spacing),
-    "u_max": ("u_max", _parse_float),
-    "feedforward": ("feedforward", _parse_bool),
-}
-# Both network modes take the broadcast keys, so a sweep can switch the mode alone.
-_NETWORK_KEYS = {
-    "agent_rate": ("agent_rate", _parse_float),
-    "target_rate": ("target_rate", _parse_float),
-    "loss": ("loss_probability", _parse_float),
-    "delay": ("delay", _parse_float),
-    "jitter": ("jitter", _parse_float),
-    "extrapolate": ("extrapolate", _parse_bool),
-    "staleness_budget": ("staleness_budget", _parse_float),
-}
-_SIM_KEYS = {
-    "seed": ("seed", _parse_int),
-    "disturbance": ("disturbance", _parse_float),
-    "allow_infeasible": ("allow_infeasible", _parse_bool),
-}
+def _choice(sec: _Section, key: str, variants: dict, what: str):
+    """Take the section's `key` out of it and return the variant it names."""
+    if key not in sec.entries:
+        raise ScenarioError(f"[{sec.name}] is missing required key '{key}'", sec.line)
+    ((raw, line),) = sec.entries.pop(key)
+    name = raw.strip().lower()
+    if name not in variants:
+        raise ScenarioError(f"unknown {what} '{name}' ({' | '.join(variants)})", line)
+    return variants[name]
+
+
+def _build(cls, sec: _Section, kwargs: dict):
+    """cls(**kwargs), with a ValueError reported at the section's line."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), sec.line) from None
 
 
 def _tokenize(text: str):
@@ -211,142 +284,14 @@ def _collect_sections(text: str):
         key, value = payload
         if current is None:
             raise ScenarioError(f"key '{key}' appears before any section header", lineno)
-        current.add(key, value, lineno, repeatable=(current.name, key) in _MULTI_KEYS)
+        current.add(key, value, lineno)
     return agents, singles
 
 
-def _build_agents(sections: list[_Section]):
-    if not sections:
-        raise ScenarioError("scenario defines no agents: at least one [agents] section required")
-    agents = []
-    speed_lines = []
-    for i, sec in enumerate(sections, start=1):
-        x = _parse_float(sec.require("x"), f"agent {i} x")
-        y = _parse_float(sec.require("y"), f"agent {i} y")
-        heading = _parse_float(sec.require("heading"), f"agent {i} heading")
-        speed_entry = sec.require("speed")
-        speed = _parse_float(speed_entry, f"agent {i} speed")
-        if speed <= 0.0:
-            raise ScenarioError(f"agent {i}: speed must be positive, got {speed}", speed_entry.line)
-        sec.check_no_unknown()
-        agents.append(AgentInit(position=(x, y), heading=heading, speed=speed))
-        speed_lines.append(speed_entry.line)
-    return agents, speed_lines
-
-
-def _build_target(sec: _Section | None):
-    if sec is None:
-        return None
-    program = sec.require("program").value.strip().lower()
-    if program == "constant_velocity":
-        x = _parse_float(sec.require("x"), "target x")
-        y = _parse_float(sec.require("y"), "target y")
-        vx = _parse_float(sec.require("vx"), "target vx")
-        vy = _parse_float(sec.require("vy"), "target vy")
-        cls, kwargs = ConstantVelocityTarget, dict(initial_position=(x, y), velocity=(vx, vy))
-    elif program == "turning":
-        x = _parse_float(sec.require("x"), "target x")
-        y = _parse_float(sec.require("y"), "target y")
-        speed = _parse_float(sec.require("speed"), "target speed")
-        kappa = _parse_float(sec.require("kappa"), "target kappa")
-        cls = TurningTarget
-        kwargs = dict(initial_position=(x, y), speed=speed, kappa=kappa,
-                      **_optional(sec, _HEADING, "target "))
-    elif program == "waypoints":
-        speed = _parse_float(sec.require("speed"), "target speed")
-        options = _optional(sec, _WAYPOINT_KEYS, "target ")
-        wp_entries = sec.get_multi("waypoint")
-        if not wp_entries:
-            raise ScenarioError("waypoints program needs at least one 'waypoint = x y'", sec.line)
-        waypoints = [_parse_pair(e, "waypoint") for e in wp_entries]
-        cls = WaypointTarget
-        kwargs = dict(waypoints=waypoints, speed=speed, **options)
-    else:
-        raise ScenarioError(
-            f"unknown target program '{program}' (constant_velocity | turning | waypoints)",
-            sec.require("program").line,
-        )
-    sec.check_no_unknown()
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), sec.line) from None
-
-
-def _build_weight(entry: _Entry):
-    parts = entry.value.split()
-    if len(parts) != 2:
-        raise ScenarioError(
-            "weight: expected 'constant W' or 'distance_dependent SCALE'", entry.line
-        )
-    kind, raw = parts[0].lower(), parts[1]
-    value = _finite(raw, "weight", entry.line)
-    try:
-        if kind == "constant":
-            return ConstantWeight(value)
-        if kind == "distance_dependent":
-            return DistanceDependentWeight(value)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), entry.line) from None
-    raise ScenarioError(f"unknown weight variant '{kind}'", entry.line)
-
-
-def _build_controller(sec: _Section | None):
-    if sec is None:
-        raise ScenarioError("missing [controller] section")
-    gamma = _parse_float(sec.require("gamma"), "gamma")
-    options = _optional(sec, _CONTROLLER_KEYS)
-    sec.check_no_unknown()
-    try:
-        return ControllerGains(gamma=gamma, **options)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), sec.line) from None
-
-
-def _build_reference(sec: _Section | None):
-    if sec is None:
-        raise ScenarioError("missing [reference] section")
-    mode = sec.require("mode").value.strip().lower()
-    weight = None
-    if mode == "constant":
-        vx = _parse_float(sec.require("vx"), "reference vx")
-        vy = _parse_float(sec.require("vy"), "reference vy")
-        ref = ConstantRef(velocity=(vx, vy))
-    elif mode == "turning":
-        speed = _parse_float(sec.require("speed"), "reference speed")
-        kappa = _parse_float(sec.require("kappa"), "reference kappa")
-        options = _optional(sec, _HEADING, "reference ")
-        try:
-            ref = TurningRef(speed=speed, kappa=kappa, **options)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), sec.line) from None
-    elif mode == "target_tracking":
-        ref = TargetTracking()
-        weight = _build_weight(sec.require("weight"))
-    else:
-        raise ScenarioError(
-            f"unknown reference mode '{mode}' (constant | turning | target_tracking)",
-            sec.require("mode").line,
-        )
-    sec.check_no_unknown()
-    return ref, weight
-
-
-def _build_network(sec: _Section | None):
-    if sec is None:
-        return None
-    mode = sec.require("mode").value.strip().lower()
-    if mode not in ("ground_truth", "broadcast"):
-        raise ScenarioError(
-            f"unknown network mode '{mode}' (ground_truth | broadcast)", sec.require("mode").line
-        )
-    options = _optional(sec, _NETWORK_KEYS)
-    sec.check_no_unknown()
-    try:
-        config = NetworkConfig(**options)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), sec.line) from None
-    return config if mode == "broadcast" else None
+def _required_section(singles: dict, name: str) -> _Section:
+    if name not in singles:
+        raise ScenarioError(f"missing [{name}] section")
+    return singles[name]
 
 
 def parse_scenario_text(text: str, seed_override: int | None = None,
@@ -358,68 +303,74 @@ def parse_scenario_text(text: str, seed_override: int | None = None,
     own allow_infeasible flag) is set.
     """
     agent_secs, singles = _collect_sections(text)
-    agents, speed_lines = _build_agents(agent_secs)
+    if not agent_secs:
+        raise ScenarioError("scenario defines no agents: at least one [agents] section required")
+    agents = []
+    for i, sec in enumerate(agent_secs, start=1):
+        kwargs = _values(sec, _AGENT_KEYS, f"agent {i} ")
+        if kwargs["speed"] <= 0.0:
+            raise ScenarioError(f"agent {i}: speed must be positive, got {kwargs['speed']}",
+                                sec.line_of("speed"))
+        agents.append(_build(AgentInit, sec, kwargs))
 
-    sim = singles.get("sim")
-    if sim is None:
-        raise ScenarioError("missing [sim] section")
-    duration_entry = sim.require("duration")
-    duration = _parse_float(duration_entry, "duration")
-    e = sim.get("dt")
-    dt = _parse_float(e, "dt") if e else 0.01
+    sim = _required_section(singles, "sim")
+    options = _values(sim, _SIM_KEYS)
+    duration, dt = options["duration"], options.get("dt", ScenarioConfig.dt)
     if dt > 0.0 and round(duration / dt) < 1:
         raise ScenarioError(
             f"duration {duration} s gives no steps of dt = {dt} s "
             "(it must exceed half a step)",
-            duration_entry.line,
+            sim.line_of("duration"),
         )
-    options = _optional(sim, _SIM_KEYS)
-    sim.check_no_unknown()
     if seed_override is not None:
         options["seed"] = seed_override
     if allow_infeasible:
         options["allow_infeasible"] = True
 
-    gains = _build_controller(singles.get("controller"))
-    ref_mode, weight = _build_reference(singles.get("reference"))
-    target = _build_target(singles.get("target"))
-    if isinstance(ref_mode, TargetTracking) and target is None:
+    sec = _required_section(singles, "controller")
+    gains = _build(ControllerGains, sec, _values(sec, _CONTROLLER_KEYS))
+
+    sec = _required_section(singles, "reference")
+    cls, table = _choice(sec, "mode", _REFERENCES, "reference mode")
+    ref_mode = _build(cls, sec, _values(sec, table, "reference "))
+
+    target = None
+    sec = singles.get("target")
+    if sec is not None:
+        cls, table = _choice(sec, "program", _TARGETS, "target program")
+        target = _build(cls, sec, _values(sec, table, "target "))
+    elif isinstance(ref_mode, TargetTracking):
         raise ScenarioError(
             "reference mode target_tracking requires a [target] section",
             singles["reference"].line,
         )
-    network = _build_network(singles.get("network"))
 
-    try:
-        config = ScenarioConfig(
-            agents=tuple(agents),
-            gains=gains,
-            reference_mode=ref_mode,
-            duration=duration,
-            target=target,
-            weight=weight,
-            network=network,
-            dt=dt,
-            **options,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    network = None
+    sec = singles.get("network")
+    if sec is not None:
+        broadcast = _choice(sec, "mode", _NETWORK_MODES, "network mode")
+        settings = _build(NetworkConfig, sec, _values(sec, _NETWORK_KEYS))
+        network = settings if broadcast else None
+
+    config = _build(ScenarioConfig, sim, dict(
+        agents=agents, gains=gains, reference_mode=ref_mode, target=target,
+        network=network, **options,
+    ))
 
     report = config.feasibility()
     if not report.feasible and not config.allow_infeasible:
         speeds = config.speeds
         if not report.condition1_ok:
-            line = speed_lines[int(np.argmin(speeds))]
+            line = agent_secs[int(np.argmin(speeds))].line_of("speed")
             raise ScenarioError(
                 f"infeasible: slowest agent speed {report.v_min} is below the reference "
                 f"speed bound {report.ref_speed_bound} (set allow_infeasible to run anyway)",
                 line,
             )
-        line = speed_lines[int(np.argmax(speeds))]
+        line = agent_secs[int(np.argmax(speeds))].line_of("speed")
         raise ScenarioError(
             f"infeasible: fastest agent speed {report.v_max} exceeds the sum of the "
             f"other speeds {report.sum_others} (set allow_infeasible to run anyway)",
             line,
         )
     return config
-

@@ -2,6 +2,8 @@
 
 Each one is written per agent, straight from the control law or identity it
 names, and shares no code path with `swarmtrack.controllers.control_terms`.
+`build_A` and `tracking_metrics` are the matrix and the log columns written
+out from their definitions.
 """
 
 import math
@@ -86,3 +88,39 @@ def u_spacing_beacon(position, heading, speed, ref_position, gains, beacon_veloc
         rel = rel - lead * np.asarray(beacon_velocity, dtype=float)
     velocity = (speed * math.cos(heading), speed * math.sin(heading))
     return -(gains.omega0 + gains.gamma * gains.omega0 * scalar_product(rel, velocity))
+
+
+def build_A(speeds, headings) -> np.ndarray:
+    """2 x n matrix with column k = (1/n) * i v_k e^{i th_k}.
+
+    A maps stacked heading rates to the induced centroid acceleration, so the
+    feedforward condition is A h = b.
+    """
+    speeds = np.asarray(speeds, dtype=float)
+    headings = np.asarray(headings, dtype=float)
+    return np.array([-speeds * np.sin(headings), speeds * np.cos(headings)]) / len(speeds)
+
+
+def tracking_metrics(log) -> dict:
+    """Recompute the headline time series from a run log's state columns.
+
+    Everything is derived from the per-agent states and the logged
+    reference/target columns, independently of the engine's own bookkeeping
+    columns, so this doubles as a consistency check on the log.
+    """
+    cx = log.x.mean(axis=1)
+    cy = log.y.mean(axis=1)
+    cvx = (log.speeds * np.cos(log.theta)).mean(axis=1)
+    cvy = (log.speeds * np.sin(log.theta)).mean(axis=1)
+    alpha = np.hypot(cvx - log.ref_vel[:, 0], cvy - log.ref_vel[:, 1])
+    beta = np.hypot(cx - log.target_pos[:, 0], cy - log.target_pos[:, 1])
+    dists = np.hypot(log.x - cx[:, None], log.y - cy[:, None])
+    order = np.hypot(np.cos(log.theta).mean(axis=1), np.sin(log.theta).mean(axis=1))
+    return {
+        "t": log.t,
+        "V": 0.5 * alpha**2,
+        "alpha_norm": alpha,
+        "beta_norm": beta,
+        "dist_to_centroid": dists,
+        "order_param_norm": order,
+    }

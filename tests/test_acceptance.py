@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import random_view, rotate90, scalar_product, u_velocity_real_form
+from oracles import build_A, random_view, rotate90, scalar_product, u_velocity_real_form
 from test_analysis import assert_oracle_agreement, draw_equilibrium_specs
 from test_engine import THREE, logs_equal
 
@@ -27,7 +27,6 @@ from swarmtrack.cli import bundled_scenario_text
 from swarmtrack.controllers import (
     ControllerGains,
     SpacingMode,
-    build_A,
     control_terms,
 )
 from swarmtrack.dynamics import norm
@@ -183,9 +182,8 @@ def test_ideal_centroid_pull_decays_exponentially():
     config = ScenarioConfig(
         agents=agents,
         gains=ControllerGains(gamma=0.1),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(ConstantWeight(0.5)),
         target=ConstantVelocityTarget(initial_position=(0.0, 0.0), velocity=(0.0, 0.0)),
-        weight=ConstantWeight(0.5),
         duration=8.02,
         dt=0.01,
         seed=0,
@@ -314,9 +312,8 @@ def tracking_base(**kw):
     defaults = dict(
         agents=THREE,
         gains=ControllerGains(gamma=0.01),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(ConstantWeight(0.05)),
         target=ConstantVelocityTarget(initial_position=(20.0, 0.0), velocity=(0.5, 0.0)),
-        weight=ConstantWeight(0.05),
         dt=0.02,
         seed=13,
     )

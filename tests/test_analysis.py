@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lyapunov_V
+from oracles import lyapunov_V, tracking_metrics
 from swarmtrack.analysis import (
     EquilibriumClass,
     EquilibriumRejected,
@@ -16,10 +16,8 @@ from swarmtrack.analysis import (
     classify_equilibrium,
     headings_V,
     hessian,
-    order_parameter,
     perturbation_oracle,
     simulate_phase_flow,
-    tracking_metrics,
 )
 
 
@@ -337,11 +335,6 @@ def test_phase_flow_matches_engine_headings():
 # derived metrics
 
 
-def test_order_parameter():
-    assert order_parameter([0.4, 0.4, 0.4]) == pytest.approx(1.0, abs=1e-12)
-    assert order_parameter([0.0, math.pi]) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_tracking_metrics_recompute_log_columns():
     from swarmtrack.controllers import ControllerGains
     from swarmtrack.engine import AgentInit, ScenarioConfig, TargetTracking, run
@@ -353,9 +346,8 @@ def test_tracking_metrics_recompute_log_columns():
             AgentInit(position=(10.0, 0.0), heading=-0.3, speed=3.0),
         ),
         gains=ControllerGains(gamma=0.1),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(ConstantWeight(0.2)),
         target=ConstantVelocityTarget(initial_position=(20.0, 5.0), velocity=(1.0, 0.0)),
-        weight=ConstantWeight(0.2),
         duration=2.0,
         dt=0.01,
     )

@@ -185,13 +185,12 @@ def test_metrics_recompute_from_csv_alone(networked, tmp_path):
     assert recomputed == summarize(log, config)["metrics"]
 
 
-def test_transient_time_default_and_override(small_log):
+def test_transient_time_is_half_the_run(small_log):
     m = summarize(small_log)["metrics"]
     assert m["transient_time"] == pytest.approx(0.5 * m["duration"])
-    m2 = summarize(small_log, transient_time=0.5)["metrics"]
-    assert m2["transient_time"] == 0.5
-    # a shorter transient can only widen the window the max is taken over
-    assert m2["max_alpha_after_transient"] >= m["max_alpha_after_transient"]
+    tail = small_log.t >= m["transient_time"]
+    assert not tail.all()
+    assert m["max_alpha_after_transient"] == small_log.alpha_norm[tail].max()
 
 
 def test_summary_handles_nan_beta(small_log):
@@ -496,6 +495,17 @@ def test_cli_sweep_rejects_agent_params(tmp_path, capsys):
                    "--param", "agents.speed=1,2"])
     assert rc == 1
     assert "not supported" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_repeatable_keys(tmp_path, capsys):
+    # one value on every waypoint line would make every case a duplicate-waypoint error
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(bundled_scenario_text(), encoding="utf-8")
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "s"),
+                   "--param", "target.waypoint=50 50"])
+    assert rc == 1
+    assert "repeatable key target.waypoint is not supported" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_sweep_rejects_bad_param_syntax(tmp_path, capsys):

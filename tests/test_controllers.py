@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    build_A,
     centroid_velocity,
     lyapunov_V,
     random_view,
@@ -19,7 +20,6 @@ from swarmtrack.controllers import (
     ControllerGains,
     SpacingMode,
     beacon_lead,
-    build_A,
     control_terms,
     project_spacing_to_kernel,
 )

@@ -154,9 +154,8 @@ def test_turning_reference_geometry():
 
 def test_target_tracking_reference_starts_at_centroid():
     cfg = basic_config(
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(DistanceDependentWeight(0.1)),
         target=ConstantVelocityTarget(initial_position=(200.0, 0.0), velocity=(1.0, 0.0)),
-        weight=DistanceDependentWeight(0.1),
         duration=1.0,
     )
     log = run(cfg)
@@ -178,9 +177,8 @@ ONE_CORNER = WaypointTarget(
 
 def corner_config(mode, **kw):
     defaults = dict(
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(DistanceDependentWeight(0.1)),
         target=ONE_CORNER,
-        weight=DistanceDependentWeight(0.1),
         gains=ControllerGains(gamma=0.001, omega0=0.25, spacing_mode=mode),
         duration=60.0,
         dt=0.02,
@@ -222,7 +220,7 @@ def test_closed_form_rates_match_finite_differences(target):
         t = log.t[m]
         v_ref, vdot = reference_kinematics(
             log.target_pos[m], log.target_vel[m], target.acceleration(t),
-            log.centroid[m], cfg.weight,
+            log.centroid[m], cfg.reference_mode.weight,
         )
         np.testing.assert_allclose(v_ref, vel[m], atol=1e-12)
         np.testing.assert_allclose(vdot, fd[m - 1], atol=1e-8)
@@ -323,9 +321,8 @@ def test_u_max_clamps_total_only():
 
 def test_spacing_mode_columns():
     cfg = basic_config(
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(DistanceDependentWeight(0.1)),
         target=WaypointTarget(waypoints=((0.0, 0.0), (200.0, 0.0)), speed=2.0),
-        weight=DistanceDependentWeight(0.1),
         gains=ControllerGains(gamma=0.001, omega0=0.25, spacing_mode=SpacingMode.BEACON),
         duration=2.0,
     )
@@ -344,9 +341,8 @@ def test_oracle_constant_weight_decay():
     cfg = ScenarioConfig(
         agents=THREE,
         gains=ControllerGains(gamma=0.1),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(ConstantWeight(0.5)),
         target=ConstantVelocityTarget(initial_position=(0.0, 0.0), velocity=(0.0, 0.0)),
-        weight=ConstantWeight(0.5),
         duration=4.0,
         dt=0.01,
     )
@@ -374,9 +370,8 @@ def test_oracle_distance_weight_monotone():
             for a in THREE
         ),
         gains=ControllerGains(gamma=0.1),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(DistanceDependentWeight(0.1)),
         target=ConstantVelocityTarget(initial_position=(0.0, 0.0), velocity=(0.0, 0.0)),
-        weight=DistanceDependentWeight(0.1),
         duration=50.0,
         dt=0.01,
     )

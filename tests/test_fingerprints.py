@@ -83,15 +83,13 @@ CASES = {
     ),
     "truth_projected_tracking": lambda: _config(
         gains=ControllerGains(gamma=0.005, spacing_mode=SpacingMode.BEACON_PROJECTED),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(WEIGHT),
         target=TurningTarget(initial_position=(20.0, -10.0), speed=2.0, kappa=0.05),
-        weight=WEIGHT,
     ),
     "net_beacon_tracking": lambda: _config(
         gains=ControllerGains(gamma=0.001, spacing_mode=SpacingMode.BEACON),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(WEIGHT),
         target=WaypointTarget(waypoints=((0, 0), (30, 0), (30, 30)), speed=2.0, dwell=1.0),
-        weight=WEIGHT,
         network=NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=0.05),
     ),
     "net_projected_turning": lambda: _config(
@@ -103,9 +101,8 @@ CASES = {
         gains=ControllerGains(
             gamma=0.01, spacing_mode=SpacingMode.BEACON_PROJECTED, u_max=0.3,
         ),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(WEIGHT),
         target=ConstantVelocityTarget(initial_position=(10.0, 5.0), velocity=(1.5, -0.5)),
-        weight=WEIGHT,
         disturbance=0.05,
         network=NetworkConfig(
             agent_rate=8.0, target_rate=4.0, loss_probability=0.2, delay=0.05, jitter=0.07,
@@ -115,9 +112,8 @@ CASES = {
     # both rates above 1/dt: most steps send two messages per source
     "net_burst_tracking": lambda: _config(
         gains=ControllerGains(gamma=0.01, spacing_mode=SpacingMode.BEACON),
-        reference_mode=TargetTracking(),
+        reference_mode=TargetTracking(WEIGHT),
         target=ConstantVelocityTarget(initial_position=(5.0, -5.0), velocity=(1.0, 0.5)),
-        weight=WEIGHT,
         network=NetworkConfig(
             agent_rate=70.0, target_rate=60.0, loss_probability=0.2, delay=0.01, jitter=0.03,
         ),

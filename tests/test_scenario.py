@@ -3,6 +3,7 @@ line-numbered diagnostics. Parse errors are an interface, so the tests pin
 messages and line numbers, not just the exception type.
 """
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -10,9 +11,17 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from swarmtrack import cli
-from swarmtrack.controllers import SpacingMode
-from swarmtrack.engine import ConstantRef, TargetTracking, TurningRef, run
+from swarmtrack import cli, scenario
+from swarmtrack.controllers import ControllerGains, SpacingMode
+from swarmtrack.engine import (
+    AgentInit,
+    ConstantRef,
+    ScenarioConfig,
+    TargetTracking,
+    TurningRef,
+    run,
+)
+from swarmtrack.netsim import NetworkConfig
 from swarmtrack.reference import (
     ConstantVelocityTarget,
     ConstantWeight,
@@ -136,7 +145,7 @@ def test_minimal_scenario_parses():
     assert config.gains.feedforward is True
     assert isinstance(config.reference_mode, ConstantRef)
     assert tuple(config.reference_mode.velocity) == (2.0, 0.0)
-    assert config.target is None and config.weight is None
+    assert config.target is None
     assert config.network is None
     assert (config.duration, config.dt, config.seed) == (5.0, 0.05, 11)
     assert config.disturbance == 0.0
@@ -146,7 +155,8 @@ def test_minimal_scenario_parses():
 def test_tracking_scenario_parses():
     config = parse_scenario_text(TRACKING)
     assert isinstance(config.reference_mode, TargetTracking)
-    assert isinstance(config.weight, ConstantWeight) and config.weight.value == 0.5
+    weight = config.reference_mode.weight
+    assert isinstance(weight, ConstantWeight) and weight.value == 0.5
     t = config.target
     assert isinstance(t, WaypointTarget)
     assert t.speed == 2.0 and t.dwell == 10.0 and t.closed is True
@@ -176,8 +186,8 @@ def test_bundled_replay_scenario():
     assert config.gains.omega0 == 0.25
     assert config.gains.spacing_mode is SpacingMode.BEACON
     assert isinstance(config.reference_mode, TargetTracking)
-    assert isinstance(config.weight, DistanceDependentWeight)
-    assert config.weight.scale == 0.1
+    assert isinstance(config.reference_mode.weight, DistanceDependentWeight)
+    assert config.reference_mode.weight.scale == 0.1
     t = config.target
     assert isinstance(t, WaypointTarget)
     assert t.speed == 2.0 and t.dwell == 300.0 and t.closed
@@ -427,6 +437,17 @@ def test_duration_without_a_step_points_at_duration_line():
     expect_error(text, "duration = -1", "gives no steps")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("dt = 0.02", "dt = -0.02", "dt and duration must be positive"),
+    ("dt = 0.02", "dt = 0", "dt and duration must be positive"),
+    ("seed = 7", "seed = 7\ndisturbance = -1", "disturbance amplitude must be non-negative"),
+], ids=["negative_dt", "zero_dt", "negative_disturbance"])
+def test_run_settings_validation_points_at_sim_line(old, new, message):
+    text = cli.bundled_scenario_text()
+    assert old in text
+    expect_error(text.replace(old, new), "[sim]", message)
+
+
 def test_target_tracking_requires_target_section():
     lines = TRACKING.splitlines()
     start = lineof(TRACKING, "[target]") - 1
@@ -519,3 +540,39 @@ def test_scenario_error_line_attribute():
     assert err.line == 7 and str(err) == "line 7: boom"
     bare = ScenarioError("boom")
     assert bare.line is None and str(bare) == "boom"
+
+
+# --------------------------------------------------------------------------
+# the key tables
+
+
+# (section, variant, constructor, key table) for every table the parser reads;
+# the variant is the [target] program or [reference] mode, "" for none.
+KEY_TABLES = [
+    ("agents", "", AgentInit, scenario._AGENT_KEYS),
+    ("controller", "", ControllerGains, scenario._CONTROLLER_KEYS),
+    ("network", "", NetworkConfig, scenario._NETWORK_KEYS),
+    ("sim", "", ScenarioConfig, scenario._SIM_KEYS),
+] + [
+    (section, variant, cls, table)
+    for section, variants in (("target", scenario._TARGETS), ("reference", scenario._REFERENCES))
+    for variant, (cls, table) in variants.items()
+]
+# The keys that choose a section's variant, read before its table.
+SELECTOR_KEYS = {("target", "program"), ("reference", "mode"), ("network", "mode")}
+
+
+def field_default(field):
+    """A dataclass field's default, or MISSING when it has none."""
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    return field.default
+
+
+def test_key_tables_name_constructor_fields_and_their_defaults():
+    for section, variant, cls, table in KEY_TABLES:
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for key, (name, _, required) in table.items():
+            where = (section, variant, key)
+            assert name in fields, where
+            assert required == (field_default(fields[name]) is dataclasses.MISSING), where
