@@ -35,7 +35,7 @@ from .analysis import (
     perturbation_oracle,
 )
 from .engine import AGENT, RECORD_FIELDS, RunLog, ScenarioConfig, SimulationAborted, run
-from .scenario import REPEATABLE_KEYS, ScenarioError, parse_scenario_text
+from .scenario import ScenarioError, override_scenario_text, parse_scenario_text
 
 _FLOAT_FMT = "%.17g"  # shortest-guaranteed round trip for binary64
 
@@ -218,11 +218,7 @@ def summarize(log: RunLog, config: ScenarioConfig | None = None) -> dict:
         summary["config"]["feasibility"] = asdict(report)
     if config is not None and config.network is not None:
         summary["config"]["network"] = {
-            "agent_rate": config.network.agent_rate,
-            "target_rate": config.network.target_rate,
-            "loss_probability": config.network.loss_probability,
-            "delay": config.network.delay,
-            "jitter": config.network.jitter,
+            **asdict(config.network),
             "bits_per_s_per_agent": config.network.bandwidth_bits_per_s(),
         }
     return summary
@@ -290,42 +286,6 @@ def write_artifacts(log: RunLog, out_dir, config: ScenarioConfig | None = None) 
 # sweep
 
 
-def override_scenario_text(text: str, section: str, key: str, value: str) -> str:
-    """Return text with `key = value` set inside every [section] block.
-
-    Replaces the key where present, otherwise appends it at the end of the
-    section block. The section must exist.
-    """
-    lines = text.splitlines()
-    out = []
-    in_section = False
-    found_section = False
-    replaced = False
-    for line in lines:
-        stripped = line.strip()
-        if stripped.startswith("["):
-            if in_section and not replaced:
-                out.append(f"{key} = {value}")
-            in_section = stripped.lower() == f"[{section.lower()}]"
-            if in_section:
-                found_section = True
-                replaced = False
-            out.append(line)
-            continue
-        if in_section and "=" in stripped and not stripped.startswith(("#", ";")):
-            k = stripped.partition("=")[0].strip().lower()
-            if k == key.lower():
-                out.append(f"{key} = {value}")
-                replaced = True
-                continue
-        out.append(line)
-    if in_section and not replaced:
-        out.append(f"{key} = {value}")
-    if not found_section:
-        raise ScenarioError(f"sweep parameter targets missing section [{section}]")
-    return "\n".join(out) + "\n"
-
-
 def _parse_sweep_param(spec: str):
     """'controller.gamma=0.001,0.01' -> ('controller', 'gamma', ['0.001', '0.01'])"""
     head, eq, tail = spec.partition("=")
@@ -338,14 +298,12 @@ def _parse_sweep_param(spec: str):
     return section.strip().lower(), key.strip().lower(), values
 
 
-def _run_sweep_case(args):
-    """One sweep grid point; module-level so process pools can pickle it."""
-    index, text, overrides, out_dir, seed, allow_infeasible = args
+def _run_sweep_case(job):
+    """Parse, run and write one sweep case; module-level so process pools can
+    pickle it."""
+    index, text, out_dir, seed = job
     try:
-        for section, key, value in overrides:
-            text = override_scenario_text(text, section, key, value)
-        config = parse_scenario_text(text, seed_override=seed,
-                                     allow_infeasible=allow_infeasible)
+        config = parse_scenario_text(text, seed_override=seed)
         log = run(config)
         summary = write_artifacts(log, out_dir, config)
         m = summary["metrics"]
@@ -360,19 +318,27 @@ def _run_sweep_case(args):
         return index, f"error: {exc}", {}
 
 
-def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1,
-              allow_infeasible: bool = False) -> list[dict]:
+def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> list[dict]:
     """Cross-product sweep. Each case writes artifacts under out/case_XXX and
-    one row into out/sweep.csv. Per-case failures are recorded, not fatal.
+    one row into out/sweep.csv; case i runs at seed base_seed + i.
+
+    Every case's text is built before any case runs, so a parameter that
+    `override_scenario_text` refuses, or `sim.seed`, raises ScenarioError
+    with nothing written. A case that fails to parse or aborts is recorded in
+    its row, not fatal.
     """
+    if any((section, key) == ("sim", "seed") for section, key, _ in params):
+        raise ScenarioError("sweeping sim.seed is not supported (case i runs at the base seed + i)")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grids = [[(section, key, v) for v in values] for section, key, values in params]
     cases = list(itertools.product(*grids)) if params else []
-    jobs = [
-        (i, text, combo, str(out / f"case_{i:03d}"), base_seed + i, allow_infeasible)
-        for i, combo in enumerate(cases)
-    ]
+    jobs = []
+    for i, combo in enumerate(cases):
+        case_text = text
+        for section, key, value in combo:
+            case_text = override_scenario_text(case_text, section, key, value)
+        jobs.append((i, case_text, str(out / f"case_{i:03d}"), base_seed + i))
+    out.mkdir(parents=True, exist_ok=True)
     if parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_run_sweep_case, jobs))
@@ -416,18 +382,22 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
+def _scenario_text(args) -> str:
+    """The text a command runs: its --scenario file, or the bundled one when it
+    has none, with `[sim] allow_infeasible` set by --allow-infeasible."""
+    text = (Path(args.scenario).read_text(encoding="utf-8") if args.scenario
+            else bundled_scenario_text())
+    if args.allow_infeasible:
+        text = override_scenario_text(text, "sim", "allow_infeasible", "on")
+    return text
+
+
 def _cmd_run(args) -> int:
-    path = Path(args.scenario)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = parse_scenario_text(text, seed_override=args.seed,
-                                     allow_infeasible=args.allow_infeasible)
-    except ScenarioError as exc:
-        print(f"error: {path.name}: {exc}", file=sys.stderr)
+        config = parse_scenario_text(_scenario_text(args), seed_override=args.seed)
+    except (OSError, ScenarioError) as exc:
+        name = Path(args.scenario).name if args.scenario else "bundled scenario"
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
     return _execute(config, args.out)
 
@@ -454,27 +424,11 @@ def _execute(config: ScenarioConfig, out_dir) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    path = Path(args.scenario)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        text = _scenario_text(args)
         params = [_parse_sweep_param(p) for p in (args.param or [])]
-        for section, key, _ in params:
-            if section == "agents":
-                raise ScenarioError(
-                    "sweeping [agents] keys is not supported (sections repeat per agent)"
-                )
-            if (section, key) in REPEATABLE_KEYS:
-                raise ScenarioError(
-                    f"sweeping the repeatable key {section}.{key} is not supported "
-                    f"(every '{key}' line would get the same value)"
-                )
-        rows = run_sweep(text, params, args.out, args.seed, parallel=args.parallel,
-                         allow_infeasible=args.allow_infeasible)
-    except ScenarioError as exc:
+        rows = run_sweep(text, params, args.out, args.seed, parallel=args.parallel)
+    except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failures = [r for r in rows if r["status"] != "ok"]
@@ -539,16 +493,6 @@ def bundled_scenario_text() -> str:
     )
 
 
-def _cmd_replay(args) -> int:
-    text = bundled_scenario_text()
-    try:
-        config = parse_scenario_text(text, seed_override=args.seed)
-    except ScenarioError as exc:
-        print(f"error: bundled scenario: {exc}", file=sys.stderr)
-        return 1
-    return _execute(config, args.out)
-
-
 # --------------------------------------------------------------------------
 # argument parsing
 
@@ -601,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay-experiment", help="run the bundled field scenario")
     p.add_argument("--out", default="replay_out")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_replay)
+    p.set_defaults(func=_cmd_run, scenario=None, allow_infeasible=False)
 
     return parser
 

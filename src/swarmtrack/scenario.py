@@ -1,4 +1,4 @@
-"""Scenario file parsing.
+"""Scenario file parsing, and overrides of one key in scenario text.
 
 The format is INI-like structured text: `[section]` headers, `key = value`
 pairs, `#`/`;` comments, blank lines. The `[agents]` section repeats once per
@@ -39,7 +39,6 @@ class ScenarioError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-_KNOWN_SECTIONS = {"agents", "target", "controller", "reference", "network", "sim"}
 # The keys a section may set more than once, each with the form of one value
 # (for the message when none is set); every other key appears at most once.
 REPEATABLE_KEYS = {("target", "waypoint"): "x y"}
@@ -199,6 +198,15 @@ _SIM_KEYS = {
     "disturbance": ("disturbance", _finite, False),
     "allow_infeasible": ("allow_infeasible", _bool, False),
 }
+# Every key a section may set, in any variant, with the variant's selector.
+_SECTION_KEYS = {
+    "agents": set(_AGENT_KEYS),
+    "target": {"program"}.union(*(table for _, table in _TARGETS.values())),
+    "controller": set(_CONTROLLER_KEYS),
+    "reference": {"mode"}.union(*(table for _, table in _REFERENCES.values())),
+    "network": {"mode", *_NETWORK_KEYS},
+    "sim": set(_SIM_KEYS),
+}
 
 
 def _values(sec: _Section, table: dict, prefix: str = "") -> dict:
@@ -271,7 +279,7 @@ def _collect_sections(text: str):
     for kind, payload, lineno in _tokenize(text):
         if kind == "section":
             name = payload
-            if name not in _KNOWN_SECTIONS:
+            if name not in _SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{name}]", lineno)
             current = _Section(name, lineno)
             if name == "agents":
@@ -294,13 +302,42 @@ def _required_section(singles: dict, name: str) -> _Section:
     return singles[name]
 
 
-def parse_scenario_text(text: str, seed_override: int | None = None,
-                        allow_infeasible: bool = False) -> ScenarioConfig:
+def override_scenario_text(text: str, section: str, key: str, value: str) -> str:
+    """Return text with `key = value` set in its one [section].
+
+    Replaces the key's line, or adds one after the section's last entry.
+    Raises ScenarioError for what one value cannot set: a missing section, the
+    repeated [agents] section, a repeatable key, or a key no variant of the
+    section knows.
+    """
+    section, key = section.lower(), key.lower()
+    if section == "agents":
+        raise ScenarioError("sweeping [agents] keys is not supported (sections repeat per agent)")
+    if (section, key) in REPEATABLE_KEYS:
+        raise ScenarioError(
+            f"sweeping the repeatable key {section}.{key} is not supported "
+            f"(every '{key}' line would get the same value)"
+        )
+    sec = _collect_sections(text)[1].get(section)
+    if sec is None:
+        raise ScenarioError(f"cannot set {section}.{key}: missing section [{section}]")
+    if key not in _SECTION_KEYS[section]:
+        raise ScenarioError(f"unknown key '{key}' in [{section}]")
+    lines = text.splitlines()
+    if key in sec.entries:
+        lines[sec.line_of(key) - 1] = f"{key} = {value}"
+    else:
+        last = max((line for entries in sec.entries.values() for _, line in entries),
+                   default=sec.line)
+        lines.insert(last, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_scenario_text(text: str, seed_override: int | None = None) -> ScenarioConfig:
     """Parse scenario text into a validated ScenarioConfig.
 
     Raises ScenarioError with a line number on malformed input, and on
-    infeasible speed configurations unless allow_infeasible (or the scenario's
-    own allow_infeasible flag) is set.
+    infeasible speed configurations unless [sim] allow_infeasible is set.
     """
     agent_secs, singles = _collect_sections(text)
     if not agent_secs:
@@ -324,8 +361,6 @@ def parse_scenario_text(text: str, seed_override: int | None = None,
         )
     if seed_override is not None:
         options["seed"] = seed_override
-    if allow_infeasible:
-        options["allow_infeasible"] = True
 
     sec = _required_section(singles, "controller")
     gains = _build(ControllerGains, sec, _values(sec, _CONTROLLER_KEYS))

@@ -166,6 +166,8 @@ def test_summary_structure_and_config_block(networked, tmp_path):
     assert c["aborted"] is None  # abort message, absent on a clean run
     assert c["feasibility"]["feasible"] is True
     assert c["network"]["loss_probability"] == 0.1
+    assert c["network"]["extrapolate"] is False
+    assert c["network"]["staleness_budget"] is None
     assert c["network"]["bits_per_s_per_agent"] == 1280.0
 
     m = summary["metrics"]
@@ -317,6 +319,18 @@ def test_cli_run_infeasible_scenario_reported_at_parse(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out"),
                    "--allow-infeasible"])
     assert rc == 0
+
+
+def test_cli_sweep_allow_infeasible_runs_infeasible_file(tmp_path, capsys):
+    scenario = tmp_path / "fast.ini"
+    scenario.write_text(SMALL.replace("speed = 16", "speed = 40"), encoding="utf-8")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out),
+                   "--param", "controller.gamma=0.1", "--allow-infeasible"])
+    assert rc == 0
+    assert "(0 failed)" in capsys.readouterr().out
+    _, rows = read_sweep_csv(out / "sweep.csv")
+    assert [r["status"] for r in rows] == ["ok"]
 
 
 def test_cli_run_abort_exits_1_with_partial_artifacts(tmp_path, capsys):
@@ -508,6 +522,25 @@ def test_cli_sweep_rejects_repeatable_keys(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("param, message", [
+    ("agents.speed=1,2", "sweeping [agents] keys is not supported"),
+    ("target.waypoint=50 50", "repeatable key target.waypoint is not supported"),
+    ("sim.seed=1,2", "sweeping sim.seed is not supported"),
+    ("turbo.boost=1,2", "missing section [turbo]"),
+    ("controller.gama=0.1,0.2", "unknown key 'gama' in [controller]"),
+], ids=["agents", "repeatable", "seed", "missing_section", "misspelled_key"])
+def test_cli_sweep_refuses_before_any_case_runs(tmp_path, capsys, param, message):
+    # case i runs at --seed + i, so a swept sim.seed would be recorded but never used
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(override_scenario_text(bundled_scenario_text(), "sim", "duration", "1"),
+                        encoding="utf-8")
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "s"),
+                   "--param", param, "--seed", "5"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_cli_sweep_rejects_bad_param_syntax(tmp_path, capsys):
     scenario = tmp_path / "base.ini"
     scenario.write_text(SMALL, encoding="utf-8")
@@ -545,9 +578,23 @@ def test_override_inserts_at_end_of_file_section():
     assert parse_scenario_text(text).disturbance == 0.5
 
 
-def test_override_applies_to_every_matching_section():
-    text = override_scenario_text(SMALL, "agents", "speed", "11")
-    assert tuple(parse_scenario_text(text).speeds) == (11.0, 11.0, 11.0)
+def test_override_refuses_agents_section():
+    with pytest.raises(ScenarioError, match=r"sweeping \[agents\] keys is not supported"):
+        override_scenario_text(SMALL, "agents", "speed", "11")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("[sim]", "[ sim ]"),
+    ("[sim]", "[SIM]"),
+    ("seed = 7", "SEED = 7"),
+    ("seed = 7", "seed = 7  # note"),
+    ("seed = 7\n", ""),
+], ids=["spaced_header", "upper_header", "upper_key", "comment", "no_seed"])
+def test_override_agrees_with_parser(old, new):
+    base = SMALL.replace("seed = 3", "seed = 7")
+    text = base.replace(old, new)
+    assert text != base and parse_scenario_text(text).seed != 3
+    assert parse_scenario_text(override_scenario_text(text, "sim", "seed", "3")).seed == 3
 
 
 def test_override_missing_section_raises():

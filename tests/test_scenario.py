@@ -525,14 +525,12 @@ def test_infeasible_fast_agent_points_at_its_speed_line():
     )
 
 
-def test_allow_infeasible_argument_and_key():
+def test_allow_infeasible_key():
     text = MINIMAL.replace("speed = 16", "speed = 40")
-    config = parse_scenario_text(text, allow_infeasible=True)
+    keyed = text.replace("seed = 11", "seed = 11\nallow_infeasible = yes")
+    config = parse_scenario_text(keyed)
     assert config.allow_infeasible is True
     assert not config.feasibility().feasible
-
-    keyed = text.replace("seed = 11", "seed = 11\nallow_infeasible = yes")
-    assert parse_scenario_text(keyed).allow_infeasible is True
 
 
 def test_scenario_error_line_attribute():
