@@ -50,8 +50,12 @@ def check_feasibility(speeds, ref_speed_bound: float) -> FeasibilityReport:
     speeds = np.asarray(speeds, dtype=float)
     if speeds.ndim != 1 or len(speeds) < 1:
         raise ValueError("speeds must be a non-empty 1-D sequence")
+    if not np.isfinite(speeds).all():
+        raise ValueError(f"speeds must all be finite, got {speeds.tolist()}")
     if np.any(speeds <= 0.0):
         raise ValueError(f"speeds must all be positive, got {speeds.tolist()}")
+    if not math.isfinite(ref_speed_bound):
+        raise ValueError(f"ref_speed_bound must be finite, got {ref_speed_bound}")
     if ref_speed_bound < 0.0:
         raise ValueError("ref_speed_bound must be non-negative")
     v_min = float(speeds.min())
@@ -141,12 +145,16 @@ def build_equilibrium(speeds, m: int, phi: float, ref_velocity, tol: float = 1e-
     so the stored spec always has the error along e^{i phi}.
     """
     speeds = np.asarray(speeds, dtype=float)
+    ref = np.asarray(ref_velocity, dtype=float)
     n = len(speeds)
+    if not (np.isfinite(speeds).all() and math.isfinite(phi) and np.isfinite(ref).all()):
+        raise ValueError(
+            f"speeds, phi and ref must be finite, got {speeds.tolist()}, {phi}, {ref.tolist()}"
+        )
     if np.any(speeds <= 0.0):
         raise ValueError("speeds must be positive")
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in 0..{n}, got {m}")
-    ref = np.asarray(ref_velocity, dtype=float)
     e_phi = np.array([math.cos(phi), math.sin(phi)])
     scale = 1.0 + norm(ref) + float(speeds.mean())
     # Criticality requires the reference parallel to the common axis.
@@ -256,6 +264,8 @@ def perturbation_oracle(
     reports how many values fell strictly below / above V(equilibrium).
     Deterministic for a fixed seed.
     """
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if samples < 100:
         raise ValueError("use at least 100 samples for a meaningful oracle")
     rng = np.random.default_rng(seed)
@@ -297,17 +307,13 @@ def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps):
     th = np.atleast_2d(np.asarray(headings0, dtype=float)).copy()
     batch, n = th.shape
     vh = np.empty((batch, n_steps + 1))
-    for i in range(n_steps):
+    for i in range(n_steps + 1):
         c = np.cos(th)
         s = np.sin(th)
         ex = (v * c).mean(axis=1) - ref[0]
         ey = (v * s).mean(axis=1) - ref[1]
         vh[:, i] = 0.5 * (ex * ex + ey * ey)
-        u = -gamma * (ex[:, None] * (-v * s) + ey[:, None] * (v * c))
-        th = th + dt * u
-    c = np.cos(th)
-    s = np.sin(th)
-    ex = (v * c).mean(axis=1) - ref[0]
-    ey = (v * s).mean(axis=1) - ref[1]
-    vh[:, n_steps] = 0.5 * (ex * ex + ey * ey)
+        if i < n_steps:
+            u = -gamma * (ex[:, None] * (-v * s) + ey[:, None] * (v * c))
+            th = th + dt * u
     return vh, th

@@ -1,10 +1,11 @@
 """Deterministic fixed-step simulation loop.
 
-One step: sample the target, let every agent assemble its view of the swarm
-(ground truth, or what it last received in networked mode), form the
-reference velocity, compute the three-term heading-rate command, integrate the
-unicycle dynamics, then move broadcast traffic. Everything an analysis could
-want is appended to a fixed-schema log, one record per step.
+One step takes one sample of the world at its top (the target's state and
+acceleration, the positions, the heading vectors) and everything else reads
+it: the network moves broadcast traffic up to now, every agent assembles its
+view of the swarm (ground truth, or what it last received in networked mode),
+forms the reference velocity and writes the three-term heading-rate command
+into the step's log rows, and the unicycle dynamics are integrated.
 """
 
 from __future__ import annotations
@@ -327,16 +328,13 @@ def run(config: ScenarioConfig) -> RunLog:
 
     log = _alloc_log(steps, n, speeds, dt, config.seed)
     log.meta["feasibility"] = report
+    if config.target is None:
+        log.target_pos[:] = log.target_vel[:] = log.beta_norm[:] = math.nan
     centroid0 = vec2(x.mean(), y.mean())
 
     tracking = isinstance(config.reference_mode, TargetTracking)
     weight = config.reference_mode.weight if tracking else None
-    net = None
-    if config.network is not None:
-        net = BroadcastNetwork(config.network, n, config.seed)
-        tpos0, tvel0 = (target_state(config.target, 0.0) if config.target is not None else (None, None))
-        vel0 = np.column_stack((speeds * np.cos(th), speeds * np.sin(th)))
-        net.initialize(np.column_stack((x, y)), vel0, tpos0, tvel0)
+    net = BroadcastNetwork(config.network, n, config.seed) if config.network is not None else None
     # Generated reference points (see _sample_reference): row 0 is the
     # observer's, rows 1..n the agents' own in networked tracking mode.
     ref_rows = 1 + n if tracking and net is not None else 1
@@ -345,23 +343,26 @@ def run(config: ScenarioConfig) -> RunLog:
     ref_heading = np.zeros(ref_rows)
     agent_ids = np.arange(1, n + 1, dtype=np.uint64)
 
-    u_vel_arr = np.zeros(n)
-    u_h_arr = np.zeros(n)
-    u_spc_arr = np.zeros(n)
-    u_tot_arr = np.zeros(n)
-
     for m in range(steps):
         t = m * dt
+        # The step's one sample of the world; everything below reads it.
+        tgt_pos = tgt_vel = tgt_acc = None
         if config.target is not None:
             tgt_pos, tgt_vel = target_state(config.target, t)
             tgt_acc = config.target.acceleration(t)
-        else:
-            tgt_pos = tgt_vel = tgt_acc = None
-
         positions = np.column_stack((x, y))
+        vc = speeds * np.cos(th)
+        vs = speeds * np.sin(th)
+        if net is not None:
+            velocities = np.column_stack((vc, vs))
+            if m == 0:
+                net.initialize(positions, velocities, tgt_pos, tgt_vel)
+            else:
+                net.advance(t, positions, velocities, tgt_pos, tgt_vel)
+
         # sum / n is bit-identical to ndarray.mean without its per-call overhead
         true_centroid = positions.sum(axis=0) / n
-        true_cvel = np.array([(speeds * np.cos(th)).sum() / n, (speeds * np.sin(th)).sum() / n])
+        true_cvel = np.array([vc.sum() / n, vs.sum() / n])
         stale_seen = 0
 
         # Observer reference (always computed from ground truth; logged).
@@ -373,12 +374,12 @@ def run(config: ScenarioConfig) -> RunLog:
         else:
             obs_ref = _closed_form_reference(config.reference_mode, centroid0, t)
 
+        # The controls go straight into the step's log rows.
+        u_vel, u_h, u_spc, u_tot = log.u_vel[m], log.u_h[m], log.u_spc[m], log.u_total[m]
         if net is None:
-            u_vel_arr[:], u_h_arr[:], u_spc_arr[:] = control_terms(
-                speeds, th, positions, obs_ref, gains
-            )
-            np.add(u_vel_arr, u_h_arr, out=u_tot_arr)
-            u_tot_arr += u_spc_arr
+            u_vel[:], u_h[:], u_spc[:] = control_terms(speeds, th, positions, obs_ref, gains)
+            np.add(u_vel, u_h, out=u_tot)
+            u_tot += u_spc
         else:
             for k in range(1, n + 1):
                 th_k, pos_k, stale_k = net.snapshot_for_agent(k, positions[k - 1], th[k - 1], t)
@@ -394,41 +395,32 @@ def run(config: ScenarioConfig) -> RunLog:
                 else:
                     ref_k = obs_ref
                 # each agent keeps its own row of its view's control terms
-                u_vel, h, u_spc = control_terms(speeds, th_k, pos_k, ref_k, gains)
-                u_vel_arr[k - 1] = u_vel[k - 1]
-                u_h_arr[k - 1] = h[k - 1]
-                u_spc_arr[k - 1] = u_spc[k - 1]
-                u_tot_arr[k - 1] = u_vel[k - 1] + h[k - 1] + u_spc[k - 1]
+                i = k - 1
+                u_v, h, u_s = control_terms(speeds, th_k, pos_k, ref_k, gains)
+                u_vel[i], u_h[i], u_spc[i] = u_v[i], h[i], u_s[i]
+                u_tot[i] = u_v[i] + h[i] + u_s[i]
 
         if config.disturbance > 0.0:
             draws = counter_uniform(config.seed, SALT_DISTURB, m, agent_ids)
-            u_tot_arr += config.disturbance * (2.0 * draws - 1.0)
+            u_tot += config.disturbance * (2.0 * draws - 1.0)
         if gains.u_max is not None:
-            np.clip(u_tot_arr, -gains.u_max, gains.u_max, out=u_tot_arr)
+            np.clip(u_tot, -gains.u_max, gains.u_max, out=u_tot)
 
         # Record the step (state at time t, command applied over [t, t+dt)).
         log.t[m] = t
         log.x[m] = x
         log.y[m] = y
         log.theta[m] = th
-        log.u_vel[m] = u_vel_arr
-        log.u_h[m] = u_h_arr
-        log.u_spc[m] = u_spc_arr
-        log.u_total[m] = u_tot_arr
         log.centroid[m] = true_centroid
         log.centroid_vel[m] = true_cvel
         log.ref_pos[m] = obs_ref[0]
         log.ref_vel[m] = obs_ref[1]
-        if config.target is not None:
+        if tgt_pos is not None:
             log.target_pos[m] = tgt_pos
             log.target_vel[m] = tgt_vel
             log.beta_norm[m] = math.hypot(
                 true_centroid[0] - tgt_pos[0], true_centroid[1] - tgt_pos[1]
             )
-        else:
-            log.target_pos[m] = (math.nan, math.nan)
-            log.target_vel[m] = (math.nan, math.nan)
-            log.beta_norm[m] = math.nan
         err = true_cvel - obs_ref[1]
         log.alpha_norm[m] = math.hypot(err[0], err[1])
         log.V[m] = 0.5 * float(err @ err)
@@ -440,22 +432,15 @@ def run(config: ScenarioConfig) -> RunLog:
             log.net_dropped[m] = net.stats.dropped
             log.stale_count[m] = stale_seen
 
-        # Integrate dynamics, then references, then move network traffic.
-        x, y, th = rk4_unicycle_arrays(x, y, th, speeds, u_tot_arr, dt)
-        t_next = (m + 1) * dt
+        # Integrate dynamics, then references; network traffic moves at the
+        # top of the next step.
+        x, y, th = rk4_unicycle_arrays(x, y, th, speeds, u_tot, dt)
         if tracking:
             ref_pos = ref_pos + ref_vel * dt  # not in place: obs_ref holds a row view
-        if net is not None:
-            if config.target is not None:
-                ntp, ntv = target_state(config.target, t_next)
-            else:
-                ntp = ntv = None
-            new_vel = np.column_stack((speeds * np.cos(th), speeds * np.sin(th)))
-            net.advance(t_next, np.column_stack((x, y)), new_vel, ntp, ntv)
 
         if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(th).all()):
             _truncate_log(log, m + 1)
-            log.aborted = f"non-finite state after step {m} (t={t_next:.6g} s)"
+            log.aborted = f"non-finite state after step {m} (t={(m + 1) * dt:.6g} s)"
             raise SimulationAborted(log.aborted, log)
 
     return log

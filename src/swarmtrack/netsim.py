@@ -108,10 +108,11 @@ class BroadcastNetwork:
     nothing has arrived. Column 0 is the target; an agent's own column stays
     empty.
 
-    The engine drives it once per step after integrating the dynamics: every
-    source whose next send instant fell before the step's end emits a message
-    carrying the post-step state, per-receiver loss and delay are drawn, and
-    due deliveries are stored in arrival order.
+    The engine initializes it from the first step's state and advances it at
+    the top of every later step, from that step's sample: every source whose
+    next send instant fell before the step's start emits a message carrying
+    the state at that instant, per-receiver loss and delay are drawn, and due
+    deliveries are stored in arrival order.
     """
 
     def __init__(self, config: NetworkConfig, n_agents: int, seed: int):

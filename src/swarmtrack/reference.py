@@ -154,28 +154,26 @@ class WaypointTarget:
         wps = tuple(np.asarray(w, dtype=float) for w in self.waypoints)
         if len(wps) == 0:
             raise ValueError("waypoint list must not be empty")
-        for a, b in zip(wps, wps[1:]):
-            if norm(b - a) == 0.0:
-                raise ValueError("consecutive duplicate waypoints (zero-length segment)")
+        # The route: the waypoints, closed back to the first when closed=True,
+        # with its segment lengths. Private attributes, not dataclass fields.
+        route = list(wps) + [wps[0]] if self.closed and len(wps) > 1 else list(wps)
+        lengths = [norm(b - a) for a, b in zip(route, route[1:])]
+        if 0.0 in lengths[:len(wps) - 1]:
+            raise ValueError("consecutive duplicate waypoints (zero-length segment)")
         object.__setattr__(self, "waypoints", wps)
+        object.__setattr__(self, "_route", route)
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_total", sum(lengths))
         if self.speed <= 0.0:
             raise ValueError(f"waypoint-target speed must be positive, got {self.speed}")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
 
-    def _segments(self):
-        pts = list(self.waypoints)
-        if self.closed and len(pts) > 1:
-            pts.append(pts[0])
-        return pts
-
     def state(self, t: float):
         first = self.waypoints[0]
         if t <= self.dwell or len(self.waypoints) == 1:
             return first.copy(), vec2(0.0, 0.0)
-        pts = self._segments()
-        lengths = [norm(b - a) for a, b in zip(pts, pts[1:])]
-        total = sum(lengths)
+        pts, lengths, total = self._route, self._lengths, self._total
         s = self.speed * (t - self.dwell)
         if self.closed:
             s = math.fmod(s, total)

@@ -398,6 +398,20 @@ def test_cli_classify_bad_ref(capsys):
         (["classify", "--speeds", "1,x", "--m", "1"], "could not convert"),
         (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--samples", "5"],
          "at least 100 samples"),
+        (["feasibility", "--speeds", "10,12,nan", "--bound", "2"], "finite"),
+        (["feasibility", "--speeds", "10,12,inf", "--bound", "2"], "finite"),
+        (["feasibility", "--speeds", "10,12,16", "--bound", "nan"], "finite"),
+        (["feasibility", "--speeds", "10,12,16", "--bound", "inf"], "finite"),
+        (["classify", "--speeds", "1,2,nan", "--m", "1"], "finite"),
+        (["classify", "--speeds", "1,2,inf", "--m", "1"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--phi", "nan"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--phi", "inf"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--ref", "nan,0"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--ref", "0,inf"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--epsilon", "nan"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--epsilon", "inf"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--epsilon", "-1"], "finite"),
+        (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--epsilon", "0"], "finite"),
     ],
 )
 def test_cli_bad_numbers_exit_1_with_error_line(argv, message, capsys):

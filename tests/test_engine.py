@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmtrack import engine
 from swarmtrack.controllers import ControllerGains, SpacingMode
 from swarmtrack.engine import (
     AgentInit,
@@ -18,7 +19,7 @@ from swarmtrack.engine import (
     run,
     run_oracle_centroid,
 )
-from swarmtrack.netsim import NetworkConfig
+from swarmtrack.netsim import BroadcastNetwork, NetworkConfig
 from swarmtrack.reference import (
     ConstantVelocityTarget,
     ConstantWeight,
@@ -289,6 +290,34 @@ def test_lossless_fast_network_matches_ground_truth():
     assert np.max(np.abs(netted.y - truth.y)) <= 1e-10
     assert np.max(np.abs(netted.theta - truth.theta)) <= 1e-10
     assert netted.net_sent[-1] > 0 and netted.net_dropped[-1] == 0
+
+
+def test_networked_step_samples_the_world_once(monkeypatch):
+    """One target sample per step; the network starts from step 0's sample and
+    advances at the top of every later step, so no step's work goes unread."""
+    calls = dict.fromkeys(("target_state", "initialize", "advance"), 0)
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(engine, "target_state")
+    count(BroadcastNetwork, "initialize")
+    count(BroadcastNetwork, "advance")
+    log = run(basic_config(
+        reference_mode=TargetTracking(DistanceDependentWeight(0.1)),
+        target=ConstantVelocityTarget(initial_position=(200.0, 0.0), velocity=(1.0, 0.0)),
+        network=NetworkConfig(loss_probability=0.2),
+        duration=0.5,
+    ))
+    steps = log.rows
+    assert steps == 50
+    assert calls == {"target_state": steps, "initialize": 1, "advance": steps - 1}
 
 
 def test_disturbance_bounded_and_logged():
