@@ -51,7 +51,6 @@ from .reference import (
     DistanceDependentWeight,
     TurningTarget,
     WaypointTarget,
-    reference_velocity,
     target_state,
 )
 from .scenario import ScenarioError, parse_scenario_text
@@ -91,7 +90,6 @@ __all__ = [
     "parse_scenario_text",
     "perturbation_oracle",
     "project_spacing_to_kernel",
-    "reference_velocity",
     "rk4_unicycle_arrays",
     "run",
     "run_oracle_centroid",

@@ -146,6 +146,8 @@ def build_equilibrium(speeds, m: int, phi: float, ref_velocity, tol: float = 1e-
     """
     speeds = np.asarray(speeds, dtype=float)
     ref = np.asarray(ref_velocity, dtype=float)
+    if speeds.ndim != 1 or len(speeds) < 1:
+        raise ValueError("speeds must be a non-empty 1-D sequence")
     n = len(speeds)
     if not (np.isfinite(speeds).all() and math.isfinite(phi) and np.isfinite(ref).all()):
         raise ValueError(

@@ -129,14 +129,10 @@ def read_trajectory_csv(path):
 # summary.json
 
 
-def _clean(value):
-    """Make a value JSON-friendly; NaN becomes None."""
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return None if math.isnan(v) else v
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+def _clean(value) -> float | None:
+    """A metric as a JSON float; NaN becomes None."""
+    v = float(value)
+    return None if math.isnan(v) else v
 
 
 def summarize_columns(cols: dict, dt: float) -> dict:

@@ -20,14 +20,12 @@ from .controllers import ControllerGains, control_terms
 from .dynamics import rk4_unicycle_arrays, vec2, wrap_angle
 from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
-    ConstantWeight,
     TargetProgram,
     WeightFunction,
     polar_velocity,
     reference_kinematics,
     reference_rates,
     reference_signal,
-    reference_velocity,
     target_state,
 )
 
@@ -87,6 +85,17 @@ class TargetTracking:
 ReferenceMode = ConstantRef | TurningRef | TargetTracking
 
 
+def step_count(duration: float, dt: float) -> int:
+    """round(duration / dt), a run's steps; ValueError unless finite and at least 1."""
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"duration {duration} s gives no finite number of steps of dt = {dt} s")
+    if round(steps) < 1:
+        raise ValueError(f"duration {duration} s gives no steps of dt = {dt} s "
+                         "(it must exceed half a step)")
+    return round(steps)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run."""
@@ -108,11 +117,7 @@ class ScenarioConfig:
             raise ValueError("at least one agent required")
         if self.dt <= 0.0 or self.duration <= 0.0:
             raise ValueError("dt and duration must be positive")
-        if self.steps < 1:
-            raise ValueError(
-                f"duration {self.duration} s is at most half a step of dt = {self.dt} s: "
-                "the run would have no steps"
-            )
+        step_count(self.duration, self.dt)
         if isinstance(self.reference_mode, TargetTracking) and self.target is None:
             raise ValueError("target tracking requires a target program")
         if self.disturbance < 0.0:
@@ -124,7 +129,7 @@ class ScenarioConfig:
 
     @property
     def steps(self) -> int:
-        return int(round(self.duration / self.dt))
+        return step_count(self.duration, self.dt)
 
     @property
     def speeds(self) -> np.ndarray:
@@ -454,34 +459,31 @@ def run_oracle_centroid(config: ScenarioConfig) -> RunLog:
     """Idealized outer loop: the centroid velocity equals the reference exactly.
 
     Isolates the target-tracking error dynamics beta = centroid - target,
-    which then obey beta_dot = -w(||beta||) * beta. beta is advanced exactly
-    (closed-form exponential) for a constant weight and by a classical
-    4th-order step for the distance-dependent weight. Agents translate rigidly
-    with the centroid; controls, V, and alpha are identically zero.
+    which then obey beta_dot = -w(||beta||) * beta: the centroid moves with the
+    `reference_kinematics` velocity that `run` samples, and beta takes a
+    classical 4th-order step for every weight. Agents translate rigidly with
+    the centroid; controls, V, and alpha are identically zero.
     """
     if not isinstance(config.reference_mode, TargetTracking):
         raise ValueError("the centroid oracle only makes sense for target-tracking configs")
-    n, dt = config.n, config.dt
-    steps = config.steps
-    speeds = config.speeds
+    dt, steps = config.dt, config.steps
     x0 = np.array([a.position[0] for a in config.agents])
     y0 = np.array([a.position[1] for a in config.agents])
     th0 = np.array([wrap_angle(a.heading) for a in config.agents])
     centroid0 = vec2(x0.mean(), y0.mean())
     offx, offy = x0 - centroid0[0], y0 - centroid0[1]
 
-    tpos0, _ = target_state(config.target, 0.0)
-    beta = centroid0 - tpos0
+    beta = centroid0 - target_state(config.target, 0.0)[0]
     w = config.reference_mode.weight
 
-    log = _alloc_log(steps, n, speeds, dt, config.seed)
+    log = _alloc_log(steps, config.n, config.speeds, dt, config.seed)
     log.meta["feasibility"] = config.feasibility()
 
     for m in range(steps):
         t = m * dt
         tgt_pos, tgt_vel = target_state(config.target, t)
         centroid = tgt_pos + beta
-        ref_vel = reference_velocity(tgt_pos, tgt_vel, centroid, w)
+        ref_vel = reference_kinematics(tgt_pos, tgt_vel, _ZERO_ACC, centroid, w)[0]
         log.t[m] = t
         log.x[m] = centroid[0] + offx
         log.y[m] = centroid[1] + offy
@@ -494,17 +496,13 @@ def run_oracle_centroid(config: ScenarioConfig) -> RunLog:
         log.target_vel[m] = tgt_vel
         log.beta_norm[m] = math.hypot(beta[0], beta[1])
         log.dist_to_centroid[m] = np.hypot(offx, offy)
-
-        if isinstance(w, ConstantWeight):
-            beta = beta * math.exp(-w.value * dt)
-        else:
-            beta = _rk4_beta(beta, w, dt)
+        beta = _rk4_beta(beta, w, dt)
     return log
 
 
-def _rk4_beta(beta: np.ndarray, w, dt: float) -> np.ndarray:
+def _rk4_beta(beta: np.ndarray, w: WeightFunction, dt: float) -> np.ndarray:
     def f(b):
-        return -w(math.hypot(b[0], b[1])) * b
+        return -w.pull(math.hypot(b[0], b[1]))[0] * b
 
     k1 = f(beta)
     k2 = f(beta + 0.5 * dt * k1)

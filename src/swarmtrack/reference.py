@@ -31,9 +31,6 @@ class ConstantWeight:
         if self.value <= 0.0:
             raise ValueError(f"constant weight must be positive, got {self.value}")
 
-    def __call__(self, rho: float) -> float:
-        return self.value
-
     def pull(self, rho: float):
         """(w(rho), d(rho*w)/drho): the weight and the slope of the position pull."""
         return self.value, self.value
@@ -53,11 +50,6 @@ class DistanceDependentWeight:
         if self.scale <= 0.0:
             raise ValueError(f"weight scale must be positive, got {self.scale}")
 
-    def __call__(self, rho: float) -> float:
-        if rho == 0.0:
-            return self.scale
-        return -math.expm1(-self.scale * rho) / rho
-
     def pull(self, rho: float):
         """(w(rho), d(rho*w)/drho) = (w(rho), scale * e^{-scale*rho}), one exponential."""
         if rho == 0.0:
@@ -66,7 +58,7 @@ class DistanceDependentWeight:
         return -em1 / rho, self.scale * (1.0 + em1)
 
 
-# Either weight variant; they only need to be callable on rho >= 0.
+# Either weight variant; `pull(rho)` on rho >= 0 is all that reads one.
 WeightFunction = ConstantWeight | DistanceDependentWeight
 
 
@@ -242,21 +234,10 @@ def polar_velocity(velocity):
     return v, math.atan2(velocity[1], velocity[0])
 
 
-def reference_velocity(target_pos, target_vel, centroid, w: WeightFunction) -> np.ndarray:
-    """Reference velocity command: target velocity plus weighted position pull.
-
-    Returns target_vel + w(rho) * (target_pos - centroid) with
-    rho = ||target_pos - centroid||. At rho = 0 this is exactly the target
-    velocity (the continuous extension of the weight keeps w finite).
-    """
-    velocity, _ = reference_kinematics(target_pos, target_vel, (0.0, 0.0), centroid, w)
-    return np.array(velocity, dtype=float)
-
-
 def reference_kinematics(target_pos, target_vel, target_acc, centroid, w: WeightFunction):
     """Reference velocity and its closed-form time derivative: (v_ref, vdot_ref).
 
-    v_ref = v_T + w(rho) d with d = p_T - c, as in `reference_velocity`. Its
+    v_ref = v_T + w(rho) d with d = p_T - c, rho = ||d|| (v_ref = v_T at rho = 0). Its
     derivative is taken along the reference itself (c_dot = v_ref, the motion
     the centroid is asked to follow), so d_dot = -w d and
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .controllers import ControllerGains, SpacingMode
-from .engine import AgentInit, ConstantRef, ScenarioConfig, TargetTracking, TurningRef
+from .engine import AgentInit, ConstantRef, ScenarioConfig, TargetTracking, TurningRef, step_count
 from .netsim import NetworkConfig
 from .reference import (
     ConstantVelocityTarget,
@@ -352,13 +352,13 @@ def parse_scenario_text(text: str, seed_override: int | None = None) -> Scenario
 
     sim = _required_section(singles, "sim")
     options = _values(sim, _SIM_KEYS)
-    duration, dt = options["duration"], options.get("dt", ScenarioConfig.dt)
-    if dt > 0.0 and round(duration / dt) < 1:
-        raise ScenarioError(
-            f"duration {duration} s gives no steps of dt = {dt} s "
-            "(it must exceed half a step)",
-            sim.line_of("duration"),
-        )
+    # The step count is checked here, so that its error names the duration line.
+    dt = options.get("dt", ScenarioConfig.dt)
+    if dt > 0.0:
+        try:
+            step_count(options["duration"], dt)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), sim.line_of("duration")) from None
     if seed_override is not None:
         options["seed"] = seed_override
 

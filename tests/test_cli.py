@@ -412,6 +412,7 @@ def test_cli_classify_bad_ref(capsys):
         (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--epsilon", "inf"], "finite"),
         (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--epsilon", "-1"], "finite"),
         (["classify", "--speeds", "1,2,3", "--m", "1", "--oracle", "--epsilon", "0"], "finite"),
+        (["classify", "--speeds", ",", "--m", "0"], "non-empty"),
     ],
 )
 def test_cli_bad_numbers_exit_1_with_error_line(argv, message, capsys):
@@ -505,6 +506,21 @@ def test_cli_sweep_case_error_recorded_not_fatal(tmp_path, capsys):
     assert rows[1]["final_V"] == ""
 
 
+def test_cli_sweep_overflowing_duration_fails_only_its_case(tmp_path, capsys):
+    # 1e308 s / 0.02 s overflows to an infinite step count
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(SMALL, encoding="utf-8")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out),
+                   "--param", "sim.duration=1,1e308"])
+    assert rc == 0
+    assert "(1 failed)" in capsys.readouterr().out
+    _, rows = read_sweep_csv(out / "sweep.csv")
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("error:")
+    assert "gives no finite number of steps" in rows[1]["status"]
+
+
 def test_cli_sweep_empty_grid(tmp_path, capsys):
     scenario = tmp_path / "base.ini"
     scenario.write_text(SMALL, encoding="utf-8")
@@ -542,7 +558,8 @@ def test_cli_sweep_rejects_repeatable_keys(tmp_path, capsys):
     ("sim.seed=1,2", "sweeping sim.seed is not supported"),
     ("turbo.boost=1,2", "missing section [turbo]"),
     ("controller.gama=0.1,0.2", "unknown key 'gama' in [controller]"),
-], ids=["agents", "repeatable", "seed", "missing_section", "misspelled_key"])
+    ("controller.gamma=", "no values given"),
+], ids=["agents", "repeatable", "seed", "missing_section", "misspelled_key", "no_values"])
 def test_cli_sweep_refuses_before_any_case_runs(tmp_path, capsys, param, message):
     # case i runs at --seed + i, so a swept sim.seed would be recorded but never used
     scenario = tmp_path / "base.ini"

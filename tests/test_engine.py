@@ -151,6 +151,12 @@ def test_turning_reference_geometry():
     np.testing.assert_allclose(
         np.hypot(log.ref_vel[:, 0], log.ref_vel[:, 1]), 2.0, atol=1e-12
     )
+    # kappa = 0: the circle degenerates to the straight line of a constant reference
+    straight = run(dataclasses.replace(cfg, reference_mode=TurningRef(2.0, 0.0, 0.7)))
+    line = run(dataclasses.replace(cfg, reference_mode=ConstantRef(
+        (2.0 * math.cos(0.7), 2.0 * math.sin(0.7)))))
+    for name in ("x", "y", "ref_pos", "ref_vel"):
+        np.testing.assert_allclose(getattr(straight, name), getattr(line, name), rtol=0, atol=1e-9)
 
 
 def test_target_tracking_reference_starts_at_centroid():

@@ -18,7 +18,6 @@ from swarmtrack.reference import (
     reference_kinematics,
     reference_rates,
     reference_signal,
-    reference_velocity,
     target_state,
 )
 
@@ -29,8 +28,8 @@ from swarmtrack.reference import (
 
 def test_constant_weight():
     w = ConstantWeight(0.5)
-    assert w(0.0) == 0.5
-    assert w(123.0) == 0.5
+    assert w.pull(0.0)[0] == 0.5
+    assert w.pull(123.0)[0] == 0.5
     with pytest.raises(ValueError):
         ConstantWeight(0.0)
 
@@ -38,13 +37,13 @@ def test_constant_weight():
 def test_distance_weight_values():
     w = DistanceDependentWeight(scale=0.1)
     # (1/10)(1 - e^{-1})
-    assert w(10.0) == pytest.approx(0.0632120558828558, abs=1e-15)
-    assert w(0.0) == 0.1  # continuous extension
+    assert w.pull(10.0)[0] == pytest.approx(0.0632120558828558, abs=1e-15)
+    assert w.pull(0.0)[0] == 0.1  # continuous extension
 
 
 def test_distance_weight_continuous_at_zero():
     w = DistanceDependentWeight(scale=0.1)
-    assert w(1e-9) == pytest.approx(w(0.0), rel=1e-6)
+    assert w.pull(1e-9)[0] == pytest.approx(w.pull(0.0)[0], rel=1e-6)
 
 
 @given(st.floats(1e-6, 1e4), st.floats(1e-6, 1e4))
@@ -52,20 +51,21 @@ def test_distance_weight_continuous_at_zero():
 def test_distance_weight_decreasing_and_bounded(r1, r2):
     w = DistanceDependentWeight(scale=0.25)
     lo, hi = sorted((r1, r2))
-    assert 0.0 < w(hi) <= w(lo) <= w.scale
+    w_lo, w_hi = w.pull(lo)[0], w.pull(hi)[0]
+    assert 0.0 < w_hi <= w_lo <= w.scale
     # position pull saturates: w(rho)*rho = 1 - e^{-scale*rho} <= 1
     # (equality only by float rounding at huge scale*rho)
-    assert w(hi) * hi <= 1.0
+    assert w_hi * hi <= 1.0
 
 
 @pytest.mark.parametrize("w", [ConstantWeight(0.3), DistanceDependentWeight(0.1)])
 def test_weight_pull_matches_weight_and_slope(w):
-    assert w.pull(0.0) == (w(0.0), w(0.0))  # slope of rho*w at 0 is w(0)
+    value, slope = w.pull(0.0)
+    assert slope == value  # slope of rho*w at 0 is w(0)
     for rho in (0.5, 7.0, 40.0, 300.0):
-        value, slope = w.pull(rho)
-        assert value == w(rho)
+        _, slope = w.pull(rho)
         h = 1e-5 * rho
-        fd = ((rho + h) * w(rho + h) - (rho - h) * w(rho - h)) / (2.0 * h)
+        fd = ((rho + h) * w.pull(rho + h)[0] - (rho - h) * w.pull(rho - h)[0]) / (2.0 * h)
         assert slope == pytest.approx(fd, rel=1e-7, abs=1e-12)
 
 
@@ -179,18 +179,18 @@ def test_target_acceleration_closed_form():
 
 
 def test_reference_velocity_constant_weight():
-    out = reference_velocity((10, 0), (2, 0), (0, 0), ConstantWeight(0.3))
+    out, _ = reference_kinematics((10, 0), (2, 0), (0, 0), (0, 0), ConstantWeight(0.3))
     np.testing.assert_allclose(out, [5.0, 0.0], atol=1e-15)
 
 
 def test_reference_velocity_distance_weight():
-    out = reference_velocity((10, 0), (2, 0), (0, 0), DistanceDependentWeight(0.1))
+    out, _ = reference_kinematics((10, 0), (2, 0), (0, 0), (0, 0), DistanceDependentWeight(0.1))
     np.testing.assert_allclose(out, [2.0 + (1.0 - math.exp(-1.0)), 0.0], atol=1e-15)
 
 
 def test_reference_velocity_at_zero_offset_is_target_velocity():
     target_vel = np.array([1.25, -0.75])
-    out = reference_velocity((3, 4), target_vel, (3, 4), DistanceDependentWeight(0.1))
+    out, _ = reference_kinematics((3, 4), target_vel, (0, 0), (3, 4), DistanceDependentWeight(0.1))
     assert out[0] == target_vel[0] and out[1] == target_vel[1]
 
 
@@ -199,7 +199,7 @@ def test_reference_velocity_at_zero_offset_is_target_velocity():
 def test_reference_velocity_pull_is_bounded(ox, oy, scale):
     # with the saturating weight, the pull part never exceeds 1 m/s (w*rho
     # rounds to 1.0 far away, so the computed norm may sit an ulp or two above)
-    out = reference_velocity((ox, oy), (0, 0), (0, 0), DistanceDependentWeight(scale))
+    out, _ = reference_kinematics((ox, oy), (0, 0), (0, 0), (0, 0), DistanceDependentWeight(scale))
     assert np.linalg.norm(out) <= 1.0 + 4.0 * np.finfo(float).eps
 
 

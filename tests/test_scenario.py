@@ -317,6 +317,13 @@ def test_duplicate_section():
 def test_missing_required_key_points_at_section():
     text = MINIMAL.replace("duration = 5\n", "")
     expect_error(text, "[sim]", "[sim] is missing required key 'duration'")
+    # the keys that select a section's variant
+    text = MINIMAL.replace("mode = constant\n", "")
+    expect_error(text, "[reference]", "[reference] is missing required key 'mode'")
+    text = TRACKING.replace("program = waypoints\n", "")
+    expect_error(text, "[target]", "[target] is missing required key 'program'")
+    text = TRACKING.replace("mode = broadcast\n", "")
+    expect_error(text, "[network]", "[network] is missing required key 'mode'")
 
 
 @pytest.mark.parametrize("header", ["[controller]", "[reference]", "[sim]"])
@@ -435,6 +442,11 @@ def test_duration_without_a_step_points_at_duration_line():
     expect_error(text, "duration = 0.001", "gives no steps of dt = 0.02 s")
     text = MINIMAL.replace("duration = 5\n", "duration = -1\n")
     expect_error(text, "duration = -1", "gives no steps")
+    # a step count that overflows to inf is refused at the same line
+    text = MINIMAL.replace("duration = 5\n", "duration = 1e308\n")
+    expect_error(text, "duration = 1e308", "gives no finite number of steps of dt = 0.05 s")
+    text = MINIMAL.replace("duration = 5\ndt = 0.05", "duration = 1e300\ndt = 1e-300")
+    expect_error(text, "duration = 1e300", "gives no finite number of steps")
 
 
 @pytest.mark.parametrize("old, new, message", [
