@@ -29,7 +29,6 @@ from .controllers import (
 )
 from .dynamics import (
     rk4_unicycle_arrays,
-    wrap_angle,
     wrap_angles,
 )
 from .engine import (
@@ -95,6 +94,5 @@ __all__ = [
     "run_oracle_centroid",
     "simulate_phase_flow",
     "target_state",
-    "wrap_angle",
     "wrap_angles",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import norm, wrap_angle
+from .dynamics import norm, wrap_angles
 
 ZERO_EIG_REL_TOL = 1e-9
 
@@ -131,8 +131,7 @@ class EquilibriumSpec:
 
     def headings(self) -> np.ndarray:
         """Vehicle headings, wrapped: phi + pi on the anti-aligned set, phi off it."""
-        th = np.where(self.anti_aligned, self.phi + math.pi, self.phi)
-        return np.array([wrap_angle(t) for t in th])
+        return wrap_angles(np.where(self.anti_aligned, self.phi + math.pi, self.phi))
 
 
 def build_equilibrium(speeds, m: int, phi: float, ref_velocity, tol: float = 1e-9) -> EquilibriumSpec:
@@ -173,13 +172,13 @@ def build_equilibrium(speeds, m: int, phi: float, ref_velocity, tol: float = 1e-
         raise EquilibriumRejected("velocity error is zero: desired equilibrium, not classified here")
     reflected = s < 0.0
     if reflected:
-        phi = wrap_angle(phi + math.pi)
+        phi = wrap_angles(phi + math.pi)
         anti = ~anti
         s = -s
     return EquilibriumSpec(
         speeds=speeds,
         anti_aligned=anti,
-        phi=wrap_angle(phi),
+        phi=wrap_angles(phi),
         ref_velocity=ref,
         err_magnitude=s,
         m_label=m,

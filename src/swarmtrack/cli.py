@@ -9,9 +9,10 @@ Subcommands:
 
 Artifacts written by `run` (and per sweep case): trajectory.csv (one row per
 control step, wide format), summary.json, plot.gp (gnuplot script). Exit codes:
-0 success, 1 usage/parse/abort errors, 2 infeasible speed set. The scenario
-parser checks the speed set, so an infeasible file exits 1 naming the offending
-speed's line; exit code 2 comes only from `feasibility`.
+0 success, 1 usage/parse/abort errors (a log too long to allocate, an unwritable
+--out), 2 infeasible speed set. The scenario parser checks the speed set, so an
+infeasible file exits 1 naming the offending speed's line; exit code 2 comes only
+from `feasibility`.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def _run_sweep_case(job):
             "max_dist_after_transient": m["spacing"]["max_dist_after_transient"],
             "delivered_ratio": m["network"]["delivered_ratio"],
         }
-    except (ScenarioError, SimulationAborted) as exc:
+    except (ScenarioError, SimulationAborted, MemoryError) as exc:
         return index, f"error: {exc}", {}
 
 
@@ -400,12 +401,17 @@ def _cmd_run(args) -> int:
 
 def _execute(config: ScenarioConfig, out_dir) -> int:
     try:
-        log = run(config)
-    except SimulationAborted as exc:
-        write_artifacts(exc.log, out_dir, config)
-        print(f"aborted: {exc} (partial artifacts in {out_dir})", file=sys.stderr)
+        try:
+            log = run(config)
+        except SimulationAborted as exc:
+            log = exc.log  # the partial log's artifacts are written all the same
+        summary = write_artifacts(log, out_dir, config)
+    except (MemoryError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    summary = write_artifacts(log, out_dir, config)
+    if log.aborted is not None:
+        print(f"aborted: {log.aborted} (partial artifacts in {out_dir})", file=sys.stderr)
+        return 1
     m = summary["metrics"]
     beta = m["beta"]
     print(f"wrote {Path(out_dir) / 'trajectory.csv'} ({m['rows']} rows)")

@@ -1,4 +1,4 @@
-"""Planar vector helpers, angle wrapping, and the fixed-step integrator.
+"""Planar vector helpers, the exact angle wrap, and the fixed-step integrator.
 
 Positions and velocities live in the plane and are treated as real 2-vectors;
 where the math is naturally complex (headings as phases e^{i theta}), the
@@ -25,24 +25,14 @@ def norm(a) -> float:
     return float(math.hypot(a[0], a[1]))
 
 
-def wrap_angle(theta: float) -> float:
-    """Normalize an angle to (-pi, pi].
+def wrap_angles(theta):
+    """theta wrapped exactly to (-pi, pi]; a finite float (returned as one) or an array.
 
-    Angles already in range are returned bit-exactly (the reduction is the
-    identity for |theta| <= pi up to the half-open boundary convention).
+    np.fmod is exact, and so is its one step of TWO_PI into range (Sterbenz's lemma):
+    this is the float in (-pi, pi] congruent to theta mod TWO_PI, a zero keeping its sign.
     """
-    r = math.remainder(theta, TWO_PI)
-    if r <= -math.pi:
-        r += TWO_PI
-    return r
-
-
-def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorized wrap_angle; same (-pi, pi] convention."""
-    theta = np.asarray(theta, dtype=float)
-    r = theta - TWO_PI * np.round(theta / TWO_PI)
-    r = np.where(r <= -math.pi, r + TWO_PI, r)
-    return r
+    r = np.fmod(theta, TWO_PI)
+    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))[()]
 
 
 def rk4_unicycle_arrays(x, y, th, speeds, u, dt):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import check_feasibility, FeasibilityReport
 from .controllers import ControllerGains, control_terms
-from .dynamics import rk4_unicycle_arrays, vec2, wrap_angle
+from .dynamics import norm, rk4_unicycle_arrays, vec2, wrap_angles
 from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
     TargetProgram,
@@ -53,8 +53,8 @@ class ConstantRef:
     def __post_init__(self):
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
 
-    def speed_bound(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+    def max_speed(self) -> float:
+        return norm(self.velocity)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class TurningRef:
         if self.speed < 0.0:
             raise ValueError(f"turning-reference speed must be non-negative, got {self.speed}")
 
-    def speed_bound(self) -> float:
+    def max_speed(self) -> float:
         return self.speed
 
 
@@ -136,9 +136,8 @@ class ScenarioConfig:
         return np.array([a.speed for a in self.agents], dtype=float)
 
     def ref_speed_bound(self) -> float:
-        if isinstance(self.reference_mode, TargetTracking):
-            return self.target.max_speed()
-        return self.reference_mode.speed_bound()
+        tracking = isinstance(self.reference_mode, TargetTracking)
+        return (self.target if tracking else self.reference_mode).max_speed()
 
     def feasibility(self) -> FeasibilityReport:
         return check_feasibility(self.speeds, self.ref_speed_bound())
@@ -243,10 +242,13 @@ RECORD_FIELDS = tuple(
 
 
 def _alloc_log(rows: int, n: int, speeds, dt: float, seed: int) -> RunLog:
-    arrays = {
-        name: np.zeros((rows, *(n if d == AGENT else d for d in row)), dtype)
-        for name, row, dtype, _ in RECORD_FIELDS
-    }
+    try:
+        arrays = {
+            name: np.zeros((rows, *(n if d == AGENT else d for d in row)), dtype)
+            for name, row, dtype, _ in RECORD_FIELDS
+        }
+    except (ValueError, MemoryError) as exc:
+        raise MemoryError(f"cannot allocate the log of {rows:.3g} steps x {n} agents: {exc}") from None
     return RunLog(**arrays, speeds=np.asarray(speeds, dtype=float).copy(), dt=dt, seed=seed)
 
 
@@ -262,16 +264,15 @@ def _truncate_log(log: RunLog, rows: int) -> RunLog:
 _ZERO_ACC = (0.0, 0.0)
 
 
-def _sample_reference(row, ref_pos, ref_vel, ref_heading, target_pos, target_vel,
-                      target_acc, centroid, weight):
+def _sample_reference(row, ref_pos, ref_vel, target_pos, target_vel, target_acc, centroid, weight):
     """The `reference_signal` tuple of one generated reference point at this step.
 
-    Row `row` of ref_pos, ref_vel and ref_heading holds one integrated copy of
-    the reference trajectory. Row 0 is the observer's, fed by ground truth and
-    reported in the log; in networked tracking mode row k belongs to agent k,
-    fed by its own centroid and target estimates. Planar inputs are (x, y)
-    float pairs. The velocity is stored in ref_vel for the step's advance, and
-    the heading in ref_heading, which holds its last value while at rest.
+    Row `row` of ref_pos and ref_vel holds one integrated copy of the reference
+    trajectory. Row 0 is the observer's, fed by ground truth and reported in
+    the log; in networked tracking mode row k belongs to agent k, fed by its own
+    centroid and target estimates. Planar inputs are (x, y) float pairs. The
+    velocity is stored in ref_vel for the step's advance; its speed and heading
+    come from `polar_velocity`, as the closed-form references' do.
 
     The turn rate and speed rate come from the closed-form derivative of the
     reference velocity (`reference_kinematics`), so jumps in the target
@@ -280,20 +281,17 @@ def _sample_reference(row, ref_pos, ref_vel, ref_heading, target_pos, target_vel
     the beacon spacing term leads the reference point along it.
     """
     vel, vdot = reference_kinematics(target_pos, target_vel, target_acc, centroid, weight)
-    v = math.hypot(vel[0], vel[1])
-    if v != 0.0:
-        ref_heading[row] = math.atan2(vel[1], vel[0])
+    v, th = polar_velocity(vel)
     kappa, a = reference_rates(vel, vdot)
     ref_vel[row] = vel
-    return reference_signal(ref_pos[row], v, ref_heading.item(row), kappa, a, target_vel)
+    return reference_signal(ref_pos[row], v, th, kappa, a, target_vel)
 
 
 def _closed_form_reference(mode: ReferenceMode, p0: np.ndarray, t: float):
     """The `reference_signal` tuple at time t of a ConstantRef or TurningRef starting at p0."""
     if isinstance(mode, ConstantRef):
         vel = mode.velocity
-        v, th = polar_velocity(vel)
-        return reference_signal(p0 + t * vel, v, th, 0.0, 0.0, vel)
+        return reference_signal(p0 + t * vel, *polar_velocity(vel), 0.0, 0.0, vel)
     th = mode.heading0 + mode.kappa * t
     if mode.kappa == 0.0:
         pos = p0 + t * mode.speed * np.array([math.cos(mode.heading0), math.sin(mode.heading0)])
@@ -302,10 +300,8 @@ def _closed_form_reference(mode: ReferenceMode, p0: np.ndarray, t: float):
         pos = p0 + r * np.array(
             [math.sin(th) - math.sin(mode.heading0), math.cos(mode.heading0) - math.cos(th)]
         )
-    return reference_signal(
-        pos, mode.speed, wrap_angle(th), mode.kappa, 0.0,
-        mode.speed * np.array([math.cos(th), math.sin(th)]),
-    )
+    return reference_signal(pos, mode.speed, wrap_angles(th), mode.kappa, 0.0,
+                            mode.speed * np.array([math.cos(th), math.sin(th)]))
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def run(config: ScenarioConfig) -> RunLog:
     speeds = config.speeds
     x = np.array([a.position[0] for a in config.agents])
     y = np.array([a.position[1] for a in config.agents])
-    th = np.array([wrap_angle(a.heading) for a in config.agents])
+    th = wrap_angles([a.heading for a in config.agents])
 
     log = _alloc_log(steps, n, speeds, dt, config.seed)
     log.meta["feasibility"] = report
@@ -345,7 +341,6 @@ def run(config: ScenarioConfig) -> RunLog:
     ref_rows = 1 + n if tracking and net is not None else 1
     ref_pos = np.tile(centroid0, (ref_rows, 1))
     ref_vel = np.zeros((ref_rows, 2))
-    ref_heading = np.zeros(ref_rows)
     agent_ids = np.arange(1, n + 1, dtype=np.uint64)
 
     for m in range(steps):
@@ -372,10 +367,8 @@ def run(config: ScenarioConfig) -> RunLog:
 
         # Observer reference (always computed from ground truth; logged).
         if tracking:
-            obs_ref = _sample_reference(
-                0, ref_pos, ref_vel, ref_heading, tgt_pos.tolist(), tgt_vel.tolist(),
-                tgt_acc.tolist(), true_centroid.tolist(), weight,
-            )
+            obs_ref = _sample_reference(0, ref_pos, ref_vel, tgt_pos.tolist(), tgt_vel.tolist(),
+                                        tgt_acc.tolist(), true_centroid.tolist(), weight)
         else:
             obs_ref = _closed_form_reference(config.reference_mode, centroid0, t)
 
@@ -393,10 +386,8 @@ def run(config: ScenarioConfig) -> RunLog:
                     tp, tv, t_stale = net.target_estimate(k, t)
                     stale_seen += int(t_stale)
                     # Broadcasts carry no acceleration, so agents take a_T = 0.
-                    ref_k = _sample_reference(
-                        k, ref_pos, ref_vel, ref_heading, tp.tolist(), tv.tolist(), _ZERO_ACC,
-                        (pos_k.sum(axis=0) / n).tolist(), weight,
-                    )
+                    ref_k = _sample_reference(k, ref_pos, ref_vel, tp.tolist(), tv.tolist(),
+                                              _ZERO_ACC, (pos_k.sum(axis=0) / n).tolist(), weight)
                 else:
                     ref_k = obs_ref
                 # each agent keeps its own row of its view's control terms
@@ -469,7 +460,7 @@ def run_oracle_centroid(config: ScenarioConfig) -> RunLog:
     dt, steps = config.dt, config.steps
     x0 = np.array([a.position[0] for a in config.agents])
     y0 = np.array([a.position[1] for a in config.agents])
-    th0 = np.array([wrap_angle(a.heading) for a in config.agents])
+    th0 = wrap_angles([a.heading for a in config.agents])
     centroid0 = vec2(x0.mean(), y0.mean())
     offx, offy = x0 - centroid0[0], y0 - centroid0[1]
 

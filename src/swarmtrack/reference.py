@@ -227,11 +227,12 @@ def reference_signal(position, v_ref, theta_ref, kappa_ref=0.0, a_ref=0.0,
 
 
 def polar_velocity(velocity):
-    """(speed, heading) of a planar velocity; the heading is 0 at rest."""
-    v = norm(velocity)
+    """(speed, heading) of a planar velocity, heading 0 at rest; every reference's polar form."""
+    vx, vy = velocity
+    v = math.hypot(vx, vy)
     if v == 0.0:
         return 0.0, 0.0
-    return v, math.atan2(velocity[1], velocity[0])
+    return v, math.atan2(vy, vx)
 
 
 def reference_kinematics(target_pos, target_vel, target_acc, centroid, w: WeightFunction):

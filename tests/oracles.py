@@ -3,7 +3,8 @@
 Each one is written per agent, straight from the control law or identity it
 names, and shares no code path with `swarmtrack.controllers.control_terms`.
 `build_A` and `tracking_metrics` are the matrix and the log columns written
-out from their definitions.
+out from their definitions, and `wrap_angle` is the angle reduction by
+`math.remainder` that `swarmtrack.dynamics.wrap_angles` must equal bit for bit.
 """
 
 import math
@@ -36,6 +37,17 @@ def lyapunov_V(speeds, headings, ref_velocity) -> float:
     """V = 0.5 * ||centroid velocity - reference velocity||^2 for one heading row."""
     err = centroid_velocity(speeds, headings) - np.asarray(ref_velocity, dtype=float)
     return 0.5 * float(err @ err)
+
+
+def wrap_angle(theta: float) -> float:
+    """theta reduced to (-pi, pi] by IEEE remainder, exact for every finite float.
+
+    math.remainder is exact and lands in [-pi, pi]; -pi moves to +pi exactly.
+    """
+    r = math.remainder(theta, 2.0 * math.pi)
+    if r <= -math.pi:
+        r += 2.0 * math.pi
+    return r
 
 
 def scalar_product(a, b) -> float:

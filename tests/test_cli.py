@@ -306,6 +306,22 @@ def test_cli_run_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # an --out that names an existing file
+    scenario = tmp_path / "case.ini"
+    scenario.write_text(SMALL, encoding="utf-8")
+    rc = cli.main(["run", "--scenario", str(scenario), "--out", str(scenario)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_run_unallocatable_log_exits_1(tmp_path, capsys):
+    scenario = tmp_path / "long.ini"
+    scenario.write_text(SMALL.replace("duration = 2", "duration = 1e300"), encoding="utf-8")
+    rc = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: cannot allocate the log of 5e+301 steps x 3 agents")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_infeasible_scenario_reported_at_parse(tmp_path, capsys):
@@ -519,6 +535,20 @@ def test_cli_sweep_overflowing_duration_fails_only_its_case(tmp_path, capsys):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert "gives no finite number of steps" in rows[1]["status"]
+
+
+def test_cli_sweep_unallocatable_log_fails_only_its_case(tmp_path, capsys):
+    # 1e300 s / 0.02 s is a finite step count whose log numpy refuses to make
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(SMALL, encoding="utf-8")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out),
+                   "--param", "sim.duration=1e300,1"])
+    assert rc == 0
+    assert "(1 failed)" in capsys.readouterr().out
+    _, rows = read_sweep_csv(out / "sweep.csv")
+    assert rows[0]["status"].startswith("error: cannot allocate the log")
+    assert rows[1]["status"] == "ok"
 
 
 def test_cli_sweep_empty_grid(tmp_path, capsys):

@@ -23,7 +23,7 @@ from swarmtrack.controllers import (
     control_terms,
     project_spacing_to_kernel,
 )
-from swarmtrack.dynamics import rk4_unicycle_arrays, wrap_angle
+from swarmtrack.dynamics import rk4_unicycle_arrays, wrap_angles
 from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
 from swarmtrack.reference import reference_signal
 
@@ -412,9 +412,9 @@ def test_rotation_equivariance(ang):
     ref = reference_signal(ref_position, v_ref, theta_ref, kappa_ref, a_ref)
     gains = ControllerGains(gamma=0.05, omega0=0.4, spacing_mode=SpacingMode.BEACON)
     R = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
-    headings_rot = np.array([wrap_angle(t + ang) for t in headings])
+    headings_rot = wrap_angles(headings + ang)
     ref_rot = reference_signal(
-        R @ ref_position, v_ref, wrap_angle(theta_ref + ang), kappa_ref, a_ref
+        R @ ref_position, v_ref, wrap_angles(theta_ref + ang), kappa_ref, a_ref
     )
     terms = control_terms(speeds, headings, positions, ref, gains)
     terms_rot = control_terms(speeds, headings_rot, positions @ R.T, ref_rot, gains)

@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rotate90, scalar_product
+from oracles import rotate90, scalar_product, wrap_angle
 from swarmtrack.controllers import ControllerGains, SpacingMode, control_terms
-from swarmtrack.dynamics import rk4_unicycle_arrays, vec2, wrap_angle, wrap_angles
+from swarmtrack.dynamics import rk4_unicycle_arrays, vec2, wrap_angles
 from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
 from swarmtrack.reference import reference_signal
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_float(a, b) -> bool:
+    """a and b are the same binary64 value, the sign of a zero included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -22,37 +28,56 @@ finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 @given(finite_angles)
 def test_wrap_angle_in_range(theta):
-    r = wrap_angle(theta)
+    r = wrap_angles(theta)
     assert -math.pi < r <= math.pi
 
 
 @given(finite_angles)
 @settings(max_examples=200)
 def test_wrap_angle_preserves_angle_mod_2pi(theta):
-    r = wrap_angle(theta)
+    r = wrap_angles(theta)
     k = (theta - r) / (2.0 * math.pi)
     assert abs(k - round(k)) < 1e-9
 
 
 @given(st.floats(min_value=-math.pi + 1e-12, max_value=math.pi, allow_nan=False))
 def test_wrap_angle_identity_in_range(theta):
-    assert wrap_angle(theta) == theta
+    assert wrap_angles(theta) == theta
 
 
 def test_wrap_angle_boundary():
     # convention: (-pi, pi], so both +pi and -pi map to +pi
-    assert wrap_angle(math.pi) == math.pi
-    assert wrap_angle(-math.pi) == math.pi
-    assert wrap_angle(3.0 * math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(0.0) == 0.0
+    assert wrap_angles(math.pi) == math.pi
+    assert wrap_angles(-math.pi) == math.pi
+    assert wrap_angles(3.0 * math.pi) == pytest.approx(math.pi)
+    assert wrap_angles(0.0) == 0.0
 
 
 def test_wrap_angles_matches_scalar():
     th = np.array([0.0, 4.0, -4.0, 7.5, -7.5, math.pi, -math.pi, 100.0])
     vec = wrap_angles(th)
     for a, b in zip(th, vec):
-        assert b == pytest.approx(wrap_angle(a), abs=1e-12)
+        assert same_float(b, wrap_angle(a))
     assert np.all(vec > -math.pi) and np.all(vec <= math.pi)
+
+
+@given(st.one_of(finite_floats, st.lists(finite_floats, min_size=1, max_size=8)))
+@settings(max_examples=500)
+def test_wrap_angles_is_the_exact_remainder(theta):
+    # every finite float, alone or in an array, is reduced exactly: far out of
+    # range too, where theta - 2 pi * round(theta / 2 pi) is not
+    r = wrap_angles(np.asarray(theta) if isinstance(theta, list) else theta)
+    for a, b in zip(np.atleast_1d(theta), np.atleast_1d(r)):
+        assert same_float(b, wrap_angle(a))
+        assert -math.pi < b <= math.pi
+
+
+def test_wrap_angles_exact_on_explicit_inputs():
+    # -1e18 came out as -121.7 when the wrap subtracted 2 pi times a rounded quotient
+    for theta in (-1e18, 1e16, 12345.678, math.pi, -math.pi, -0.0):
+        for r in (wrap_angles(theta), wrap_angles(np.array([theta]))[0]):
+            assert same_float(r, wrap_angle(theta)), theta
+            assert -math.pi < r <= math.pi
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +201,7 @@ def test_rk4_100_steps_follow_arc():
     ex, ey, eth = _exact_arc(0.0, 0.0, 1.0, v, u, 100 * dt)
     assert x[0] == pytest.approx(ex, abs=1e-7)
     assert y[0] == pytest.approx(ey, abs=1e-7)
-    assert th[0] == pytest.approx(wrap_angle(eth), abs=1e-12)
+    assert th[0] == pytest.approx(wrap_angles(eth), abs=1e-12)
 
 
 def test_rk4_zero_control_goes_straight():

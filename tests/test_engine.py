@@ -259,6 +259,12 @@ def test_infeasible_scenario_raises():
     assert log.rows == 100  # runs to completion anyway
 
 
+def test_reference_speed_bound_reads_max_speed():
+    assert ConstantRef(velocity=(3.0, 4.0)).max_speed() == 5.0
+    assert TurningRef(speed=2.0, kappa=0.1).max_speed() == 2.0
+    assert basic_config().ref_speed_bound() == 2.0
+
+
 def test_config_rejects_a_run_with_no_steps():
     # round(duration / dt) is the step count; it must be at least 1
     with pytest.raises(ValueError, match="no steps"):
@@ -267,6 +273,19 @@ def test_config_rejects_a_run_with_no_steps():
         basic_config(duration=0.01, dt=0.02)  # exactly half a step rounds to 0
     log = run(basic_config(duration=0.011, dt=0.02))
     assert log.rows == 1
+
+
+def test_unallocatable_log_raises_memory_error_naming_its_size():
+    # 1e300 s / 0.02 s is a finite step count that numpy refuses before allocating
+    with pytest.raises(MemoryError, match=r"5e\+301 steps x 3 agents"):
+        run(basic_config(duration=1e300, dt=0.02))
+
+
+def test_huge_gain_keeps_logged_headings_wrapped():
+    # gamma = 1e15 turns a vehicle by up to ~1e15 rad in one step
+    log = run(basic_config(gains=ControllerGains(gamma=1e15), duration=2.0, dt=0.02))
+    assert np.abs(log.u_total).max() > 1e15
+    assert ((log.theta > -math.pi) & (log.theta <= math.pi)).all()
 
 
 def test_aborted_run_carries_partial_log():
