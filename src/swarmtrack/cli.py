@@ -10,9 +10,9 @@ Subcommands:
 Artifacts written by `run` (and per sweep case): trajectory.csv (one row per
 control step, wide format), summary.json, plot.gp (gnuplot script). Exit codes:
 0 success, 1 usage/parse/abort errors (a log too long to allocate, an unwritable
---out), 2 infeasible speed set. The scenario parser checks the speed set, so an
-infeasible file exits 1 naming the offending speed's line; exit code 2 comes only
-from `feasibility`.
+--out), 2 infeasible speed set. Building a ScenarioConfig judges its speed set,
+and the parser reports an infeasible file at the offending speed's line, so it
+exits 1; exit code 2 comes only from `feasibility`.
 """
 
 from __future__ import annotations

@@ -50,12 +50,12 @@ class ControllerGains:
     feedforward: bool = True
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if self.u_max is not None and self.u_max <= 0.0:
-            raise ValueError("u_max must be positive when set")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
+        if self.u_max is not None and not self.u_max > 0.0:  # inf clamps nothing
+            raise ValueError(f"u_max must be positive when set, got {self.u_max}")
 
 
 def _A(vc: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -66,8 +66,9 @@ class TurningRef:
     heading0: float = 0.0
 
     def __post_init__(self):
-        if self.speed < 0.0:
-            raise ValueError(f"turning-reference speed must be non-negative, got {self.speed}")
+        if not 0.0 <= self.speed < math.inf:
+            raise ValueError("turning-reference speed must be non-negative and finite, "
+                             f"got {self.speed}")
 
     def max_speed(self) -> float:
         return self.speed
@@ -96,9 +97,25 @@ def step_count(duration: float, dt: float) -> int:
     return round(steps)
 
 
+class InfeasibleScenario(RuntimeError):
+    """Raised when a ScenarioConfig is built whose speeds cannot realize the
+    reference, unless allow_infeasible; the message names the first failing condition."""
+
+    def __init__(self, report: FeasibilityReport):
+        self.report = report
+        if not report.condition1_ok:
+            reason = (f"slowest agent speed {report.v_min} is below the reference "
+                      f"speed bound {report.ref_speed_bound}")
+        else:
+            reason = (f"fastest agent speed {report.v_max} exceeds the sum of the "
+                      f"other speeds {report.sum_others}")
+        super().__init__(f"infeasible: {reason} (set allow_infeasible to run anyway)")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run. Building one validates it and, last,
+    raises InfeasibleScenario unless its speed set is feasible or allow_infeasible is set."""
 
     agents: tuple
     gains: ControllerGains
@@ -120,8 +137,11 @@ class ScenarioConfig:
         step_count(self.duration, self.dt)
         if isinstance(self.reference_mode, TargetTracking) and self.target is None:
             raise ValueError("target tracking requires a target program")
-        if self.disturbance < 0.0:
-            raise ValueError("disturbance amplitude must be non-negative")
+        if not 0.0 <= self.disturbance < math.inf:
+            raise ValueError("disturbance amplitude must be non-negative and finite")
+        report = self.feasibility()  # last: the speed bound reads the target checked above
+        if not (report.feasible or self.allow_infeasible):
+            raise InfeasibleScenario(report)
 
     @property
     def n(self) -> int:
@@ -141,16 +161,6 @@ class ScenarioConfig:
 
     def feasibility(self) -> FeasibilityReport:
         return check_feasibility(self.speeds, self.ref_speed_bound())
-
-
-class InfeasibleScenario(RuntimeError):
-    def __init__(self, report: FeasibilityReport):
-        self.report = report
-        super().__init__(
-            "speeds cannot realize the reference: "
-            f"v_min={report.v_min} vs bound={report.ref_speed_bound} (ok={report.condition1_ok}), "
-            f"v_max={report.v_max} vs sum_others={report.sum_others} (ok={report.condition2_ok})"
-        )
 
 
 class SimulationAborted(RuntimeError):
@@ -312,15 +322,10 @@ def run(config: ScenarioConfig) -> RunLog:
     """Simulate a scenario and return its complete log.
 
     Deterministic: identical (config, seed) pairs produce bit-identical logs.
-    Raises InfeasibleScenario unless allow_infeasible, and SimulationAborted
-    (carrying the partial log) if the state ever goes non-finite.
+    Raises SimulationAborted (carrying the partial log) if the state ever goes
+    non-finite; the config judged its speed set when it was built.
     """
-    report = config.feasibility()
-    if not report.feasible and not config.allow_infeasible:
-        raise InfeasibleScenario(report)
-
-    n, dt = config.n, config.dt
-    steps = config.steps
+    n, dt, steps = config.n, config.dt, config.steps
     gains = config.gains
     speeds = config.speeds
     x = np.array([a.position[0] for a in config.agents])
@@ -328,7 +333,7 @@ def run(config: ScenarioConfig) -> RunLog:
     th = wrap_angles([a.heading for a in config.agents])
 
     log = _alloc_log(steps, n, speeds, dt, config.seed)
-    log.meta["feasibility"] = report
+    log.meta["feasibility"] = config.feasibility()
     if config.target is None:
         log.target_pos[:] = log.target_vel[:] = log.beta_norm[:] = math.nan
     centroid0 = vec2(x.mean(), y.mean())
@@ -376,8 +381,6 @@ def run(config: ScenarioConfig) -> RunLog:
         u_vel, u_h, u_spc, u_tot = log.u_vel[m], log.u_h[m], log.u_spc[m], log.u_total[m]
         if net is None:
             u_vel[:], u_h[:], u_spc[:] = control_terms(speeds, th, positions, obs_ref, gains)
-            np.add(u_vel, u_h, out=u_tot)
-            u_tot += u_spc
         else:
             for k in range(1, n + 1):
                 th_k, pos_k, stale_k = net.snapshot_for_agent(k, positions[k - 1], th[k - 1], t)
@@ -394,7 +397,8 @@ def run(config: ScenarioConfig) -> RunLog:
                 i = k - 1
                 u_v, h, u_s = control_terms(speeds, th_k, pos_k, ref_k, gains)
                 u_vel[i], u_h[i], u_spc[i] = u_v[i], h[i], u_s[i]
-                u_tot[i] = u_v[i] + h[i] + u_s[i]
+        np.add(u_vel, u_h, out=u_tot)
+        u_tot += u_spc
 
         if config.disturbance > 0.0:
             draws = counter_uniform(config.seed, SALT_DISTURB, m, agent_ids)

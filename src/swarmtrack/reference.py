@@ -28,8 +28,8 @@ class ConstantWeight:
     value: float
 
     def __post_init__(self):
-        if self.value <= 0.0:
-            raise ValueError(f"constant weight must be positive, got {self.value}")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError(f"constant weight must be positive and finite, got {self.value}")
 
     def pull(self, rho: float):
         """(w(rho), d(rho*w)/drho): the weight and the slope of the position pull."""
@@ -47,8 +47,8 @@ class DistanceDependentWeight:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError(f"weight scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"weight scale must be positive and finite, got {self.scale}")
 
     def pull(self, rho: float):
         """(w(rho), d(rho*w)/drho) = (w(rho), scale * e^{-scale*rho}), one exponential."""
@@ -101,8 +101,8 @@ class TurningTarget:
 
     def __post_init__(self):
         object.__setattr__(self, "initial_position", np.asarray(self.initial_position, float))
-        if self.speed <= 0.0:
-            raise ValueError(f"turning-target speed must be positive, got {self.speed}")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"turning-target speed must be positive and finite, got {self.speed}")
 
     def state(self, t: float):
         th = self.heading0 + self.kappa * t
@@ -156,10 +156,10 @@ class WaypointTarget:
         object.__setattr__(self, "_route", route)
         object.__setattr__(self, "_lengths", lengths)
         object.__setattr__(self, "_total", sum(lengths))
-        if self.speed <= 0.0:
-            raise ValueError(f"waypoint-target speed must be positive, got {self.speed}")
-        if self.dwell < 0.0:
-            raise ValueError("dwell must be non-negative")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"waypoint-target speed must be positive and finite, got {self.speed}")
+        if not 0.0 <= self.dwell < math.inf:
+            raise ValueError(f"dwell must be non-negative and finite, got {self.dwell}")
 
     def state(self, t: float):
         first = self.waypoints[0]
@@ -169,14 +169,14 @@ class WaypointTarget:
         s = self.speed * (t - self.dwell)
         if self.closed:
             s = math.fmod(s, total)
-        elif s >= total:
-            return pts[-1].copy(), vec2(0.0, 0.0)
         for a, b, seg_len in zip(pts, pts[1:], lengths):
             if s < seg_len:
                 direction = (b - a) / seg_len
                 return a + s * direction, self.speed * direction
             s -= seg_len
-        # Closed path with s landing exactly on total after fmod rounding.
+        # At or past the end, maybe an ulp early: an open route rests, a closed one starts over.
+        if not self.closed:
+            return pts[-1].copy(), vec2(0.0, 0.0)
         a, b = pts[0], pts[1]
         direction = (b - a) / lengths[0]
         return a.copy(), self.speed * direction

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .controllers import ControllerGains, SpacingMode
-from .engine import AgentInit, ConstantRef, ScenarioConfig, TargetTracking, TurningRef, step_count
+from .engine import (AgentInit, ConstantRef, InfeasibleScenario, ScenarioConfig, TargetTracking,
+                     TurningRef, step_count)
 from .netsim import NetworkConfig
 from .reference import (
     ConstantVelocityTarget,
@@ -387,25 +386,13 @@ def parse_scenario_text(text: str, seed_override: int | None = None) -> Scenario
         settings = _build(NetworkConfig, sec, _values(sec, _NETWORK_KEYS))
         network = settings if broadcast else None
 
-    config = _build(ScenarioConfig, sim, dict(
-        agents=agents, gains=gains, reference_mode=ref_mode, target=target,
-        network=network, **options,
-    ))
-
-    report = config.feasibility()
-    if not report.feasible and not config.allow_infeasible:
-        speeds = config.speeds
-        if not report.condition1_ok:
-            line = agent_secs[int(np.argmin(speeds))].line_of("speed")
-            raise ScenarioError(
-                f"infeasible: slowest agent speed {report.v_min} is below the reference "
-                f"speed bound {report.ref_speed_bound} (set allow_infeasible to run anyway)",
-                line,
-            )
-        line = agent_secs[int(np.argmax(speeds))].line_of("speed")
-        raise ScenarioError(
-            f"infeasible: fastest agent speed {report.v_max} exceeds the sum of the "
-            f"other speeds {report.sum_others} (set allow_infeasible to run anyway)",
-            line,
-        )
-    return config
+    try:
+        return _build(ScenarioConfig, sim, dict(
+            agents=agents, gains=gains, reference_mode=ref_mode, target=target,
+            network=network, **options,
+        ))
+    except InfeasibleScenario as exc:
+        # at the speed line of the slowest agent (condition 1) or the fastest (condition 2)
+        speed = exc.report.v_max if exc.report.condition1_ok else exc.report.v_min
+        sec = next(sec for sec, agent in zip(agent_secs, agents) if agent.speed == speed)
+        raise ScenarioError(str(exc), sec.line_of("speed")) from None

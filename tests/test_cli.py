@@ -287,7 +287,10 @@ def test_cli_run_parse_error_exits_1(tmp_path, capsys):
      "[target]", "turning-target speed"),
     ("mode = constant\nvx = 2\nvy = 0", "mode = turning\nspeed = -1\nkappa = 0.1",
      "[reference]", "turning-reference speed"),
-], ids=["duration", "turning_target", "turning_reference"])
+    # |(1.7e308, 1.7e308)| overflows: the speed bound is refused at the [sim] header
+    ("vx = 2\nvy = 0", "vx = 1.7e308\nvy = 1.7e308", "[sim]",
+     "ref_speed_bound must be finite, got inf"),
+], ids=["duration", "turning_target", "turning_reference", "overflowing_reference"])
 def test_cli_run_invalid_value_exits_1_with_line(tmp_path, capsys, old, new, fragment, message):
     text = SMALL.replace(old, new)
     assert text != SMALL
@@ -535,6 +538,26 @@ def test_cli_sweep_overflowing_duration_fails_only_its_case(tmp_path, capsys):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert "gives no finite number of steps" in rows[1]["status"]
+
+
+def test_cli_sweep_overflowing_reference_speed_fails_each_case(tmp_path, capsys):
+    # vx = 1.7e308 is infeasible; vy = 1.7e308 makes the speed bound overflow
+    text = SMALL.replace("vx = 2", "vx = 1.7e308")
+    sim_line = text.splitlines().index("[sim]") + 1
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(text, encoding="utf-8")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out),
+                   "--param", "reference.vy=0,1.7e308"])
+    assert rc == 0
+    assert "(2 failed)" in capsys.readouterr().out
+    _, rows = read_sweep_csv(out / "sweep.csv")
+    # sweep.csv cells carry their commas as semicolons
+    assert [r["status"] for r in rows] == [
+        "error: line 5: infeasible: slowest agent speed 10.0 is below the reference speed "
+        "bound 1.7e+308 (set allow_infeasible to run anyway)",
+        f"error: line {sim_line}: ref_speed_bound must be finite; got inf",
+    ]
 
 
 def test_cli_sweep_unallocatable_log_fails_only_its_case(tmp_path, capsys):

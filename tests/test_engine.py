@@ -259,6 +259,84 @@ def test_infeasible_scenario_raises():
     assert log.rows == 100  # runs to completion anyway
 
 
+def test_building_an_infeasible_speed_set_raises():
+    # the speed set of test_infeasible_scenario_raises, judged without a run
+    cfg_kw = dict(
+        agents=(
+            AgentInit(position=(0.0, 0.0), heading=0.0, speed=1.0),
+            AgentInit(position=(10.0, 0.0), heading=0.0, speed=5.0),
+        ),
+        gains=ControllerGains(gamma=0.1),
+        reference_mode=ConstantRef(velocity=(0.5, 0.0)),
+        duration=1.0,
+        dt=0.01,
+    )
+    with pytest.raises(InfeasibleScenario) as exc:
+        ScenarioConfig(**cfg_kw)
+    assert not exc.value.report.condition2_ok
+    assert str(exc.value) == ("infeasible: fastest agent speed 5.0 exceeds the sum of the "
+                              "other speeds 1.0 (set allow_infeasible to run anyway)")
+    # with both conditions failing, the message names the first
+    with pytest.raises(InfeasibleScenario) as exc:
+        ScenarioConfig(**{**cfg_kw, "reference_mode": ConstantRef(velocity=(2.0, 0.0))})
+    assert str(exc.value).startswith(
+        "infeasible: slowest agent speed 1.0 is below the reference speed bound 2.0"
+    )
+    assert not ScenarioConfig(**cfg_kw, allow_infeasible=True).feasibility().feasible
+    # the speed bound's own input errors are raised when the config is built
+    with pytest.raises(ValueError, match="ref_speed_bound must be finite"):
+        ScenarioConfig(**{**cfg_kw, "reference_mode": ConstantRef(velocity=(1.7e308, 1.7e308))},
+                       allow_infeasible=True)
+
+
+NAN, INF = math.nan, math.inf
+SQUARE_ROUTE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ControllerGains(gamma=NAN), "gamma"),
+    (lambda: ControllerGains(gamma=INF), "gamma"),
+    (lambda: ControllerGains(gamma=0.1, omega0=NAN), "omega0"),
+    (lambda: ControllerGains(gamma=0.1, omega0=INF), "omega0"),
+    (lambda: ControllerGains(gamma=0.1, u_max=NAN), "u_max"),
+    (lambda: ConstantWeight(NAN), "constant weight"),
+    (lambda: ConstantWeight(INF), "constant weight"),
+    (lambda: DistanceDependentWeight(NAN), "weight scale"),
+    (lambda: DistanceDependentWeight(INF), "weight scale"),
+    (lambda: DistanceDependentWeight(0.0), "weight scale"),
+    (lambda: TurningTarget(initial_position=(0.0, 0.0), speed=NAN, kappa=0.1), "speed"),
+    (lambda: TurningTarget(initial_position=(0.0, 0.0), speed=INF, kappa=0.1), "speed"),
+    (lambda: WaypointTarget(waypoints=SQUARE_ROUTE, speed=NAN), "speed"),
+    (lambda: WaypointTarget(waypoints=SQUARE_ROUTE, speed=INF), "speed"),
+    (lambda: WaypointTarget(waypoints=SQUARE_ROUTE, speed=1.0, dwell=NAN), "dwell"),
+    (lambda: WaypointTarget(waypoints=SQUARE_ROUTE, speed=1.0, dwell=INF), "dwell"),
+    (lambda: WaypointTarget(waypoints=SQUARE_ROUTE, speed=1.0, dwell=-1.0), "dwell"),
+    (lambda: TurningRef(speed=NAN, kappa=0.1), "turning-reference speed"),
+    (lambda: TurningRef(speed=INF, kappa=0.1), "turning-reference speed"),
+    (lambda: basic_config(disturbance=NAN), "disturbance"),
+    (lambda: basic_config(disturbance=INF), "disturbance"),
+    (lambda: basic_config(agents=()), "at least one agent"),
+    (lambda: basic_config(reference_mode=TargetTracking(ConstantWeight(0.1))),
+     "requires a target program"),
+], ids=[
+    "gamma_nan", "gamma_inf", "omega0_nan", "omega0_inf", "u_max_nan",
+    "constant_weight_nan", "constant_weight_inf",
+    "weight_scale_nan", "weight_scale_inf", "weight_scale_zero",
+    "turning_target_speed_nan", "turning_target_speed_inf",
+    "waypoint_speed_nan", "waypoint_speed_inf",
+    "dwell_nan", "dwell_inf", "dwell_negative",
+    "turning_ref_speed_nan", "turning_ref_speed_inf",
+    "disturbance_nan", "disturbance_inf", "no_agents", "tracking_without_target",
+])
+def test_config_dataclasses_reject_out_of_range_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_infinite_u_max_clamps_nothing():
+    assert basic_config(gains=ControllerGains(gamma=0.1, u_max=INF)).gains.u_max == INF
+
+
 def test_reference_speed_bound_reads_max_speed():
     assert ConstantRef(velocity=(3.0, 4.0)).max_speed() == 5.0
     assert TurningRef(speed=2.0, kappa=0.1).max_speed() == 2.0

@@ -160,6 +160,28 @@ def test_waypoint_target_validation():
     np.testing.assert_allclose(vel, [0.0, 0.0])
 
 
+def test_open_route_rests_at_its_last_waypoint_from_an_ulp_before_its_end():
+    # an ulp before the end, the running subtraction already leaves s on the
+    # last segment's length
+    tgt = WaypointTarget(waypoints=((79, 53), (-48, 19), (48, 67), (42, -93)), speed=1.0,
+                         closed=False)
+    for t in (398.91615396705623, 398.9161539670563):
+        pos, vel = target_state(tgt, t)
+        np.testing.assert_array_equal(pos, [42.0, -93.0])
+        np.testing.assert_array_equal(vel, [0.0, 0.0])
+
+
+def test_closed_route_rounding_onto_its_end_starts_its_first_segment():
+    # fmod leaves s an ulp short of the lap; the running subtraction then
+    # lands exactly on the closing segment's length
+    wps = ((28, -44), (67, -32), (-39, -17), (-53, 73))
+    tgt = WaypointTarget(waypoints=wps, speed=1.0, closed=True)
+    pos, vel = target_state(tgt, 381.2453466083575)
+    np.testing.assert_array_equal(pos, [28.0, -44.0])
+    first = np.subtract(wps[1], wps[0])
+    np.testing.assert_allclose(vel, first / np.linalg.norm(first), rtol=1e-15)
+
+
 def test_target_acceleration_closed_form():
     tgt = TurningTarget(initial_position=(3, -1), speed=1.5, kappa=0.2, heading0=0.4)
     h = 1e-5
