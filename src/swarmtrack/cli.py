@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import itertools
 import json
 import math
@@ -354,20 +355,14 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
             row[name] = metrics.get(name)
         rows.append(row)
 
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         header = ["case", "seed"] + param_names + metric_names + ["status"]
-        fh.write(",".join(header) + "\n")
+        # csv quotes a cell that holds a comma and writes None as an empty cell
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         for row in rows:
-            cells = []
-            for name in header:
-                v = row.get(name)
-                if isinstance(v, float):
-                    cells.append(_FLOAT_FMT % v)
-                elif v is None:
-                    cells.append("")
-                else:
-                    cells.append(str(v).replace(",", ";"))
-            fh.write(",".join(cells) + "\n")
+            writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v
+                             for v in map(row.get, header)])
     return rows
 
 

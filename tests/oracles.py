@@ -5,11 +5,16 @@ names, and shares no code path with `swarmtrack.controllers.control_terms`.
 `build_A` and `tracking_metrics` are the matrix and the log columns written
 out from their definitions, and `wrap_angle` is the angle reduction by
 `math.remainder` that `swarmtrack.dynamics.wrap_angles` must equal bit for bit.
+`ScalarNetwork` is the broadcast network message by message, which
+`swarmtrack.netsim.BroadcastNetwork` must equal after every step.
 """
 
+import heapq
 import math
 
 import numpy as np
+
+from swarmtrack.netsim import SALT_JITTER, SALT_LOSS, TARGET_ID, BroadcastNetwork, counter_uniform
 
 
 def random_view(rng, n):
@@ -136,3 +141,63 @@ def tracking_metrics(log) -> dict:
         "dist_to_centroid": dists,
         "order_param_norm": order,
     }
+
+
+class ScalarNetwork(BroadcastNetwork):
+    """The broadcast network one message and one receiver at a time.
+
+    Every (sender, seq, receiver) triple takes its own scalar loss and jitter
+    draws, in-flight deliveries sit on a heap of (arrival, sender, seq,
+    receiver, message) tuples and pop in that order through `deliver`, and
+    `initialize` makes one `deliver` call per pair. Only the schedule, the
+    received-state arrays and `deliver` are shared with `BroadcastNetwork`.
+    """
+
+    def __init__(self, config, n_agents, seed):
+        super().__init__(config, n_agents, seed)
+        self.pending = []
+
+    def initialize(self, positions, velocities, target_pos, target_vel):
+        for receiver in range(1, self.n + 1):
+            for sender in range(1, self.n + 1):
+                if sender != receiver:
+                    self.deliver(receiver, sender, 0.0,
+                                 positions[sender - 1], velocities[sender - 1])
+            if target_pos is not None:
+                self.deliver(receiver, TARGET_ID, 0.0, target_pos, target_vel)
+
+    def _emit(self, sender, seq, stamp, position, velocity):
+        cfg, seed = self.config, self.seed
+        vx, vy = float(velocity[0]), float(velocity[1])
+        msg = ((float(position[0]), float(position[1])), (vx, vy), math.atan2(vy, vx))
+        self.stats.sent += 1
+        for receiver in range(1, self.n + 1):
+            if receiver == sender:
+                continue
+            self.stats.pair_decisions += 1
+            if counter_uniform(seed, SALT_LOSS, sender, seq, receiver) < cfg.loss_probability:
+                self.stats.dropped += 1
+                continue
+            self.stats.delivered += 1
+            delay = cfg.delay
+            if cfg.jitter > 0.0:
+                delay += cfg.jitter * counter_uniform(seed, SALT_JITTER, sender, seq, receiver)
+            heapq.heappush(self.pending, (stamp + delay, sender, seq, receiver, msg))
+
+    def advance(self, t_new, positions, velocities, target_pos, target_vel):
+        next_send = self._next_send
+        due = np.flatnonzero(next_send < t_new)
+        while due.size:
+            for s in due.tolist():
+                seq = int(self.seq[s])
+                self.seq[s] = seq + 1
+                next_send[s] = self.phase[s] + (seq + 1) * self.period[s]
+                if s != TARGET_ID:
+                    self._emit(s, seq, t_new, positions[s - 1], velocities[s - 1])
+                elif target_pos is not None:
+                    self._emit(s, seq, t_new, target_pos, target_vel)
+            due = np.flatnonzero(next_send < t_new)
+        pending = self.pending
+        while pending and pending[0][0] <= t_new:
+            arrival, sender, _, receiver, (position, velocity, heading) = heapq.heappop(pending)
+            self.deliver(receiver, sender, arrival, position, velocity, heading)

@@ -2,6 +2,7 @@
 plot.gp column indices, exit codes, sweeps, and scenario overrides.
 """
 
+import csv
 import json
 import math
 
@@ -459,9 +460,9 @@ def test_cli_feasibility_exit_codes(capsys):
 
 
 def read_sweep_csv(path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    return header, [dict(zip(header, l.split(","))) for l in lines[1:]]
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [dict(zip(header, row)) for row in rows]
 
 
 def test_cli_sweep_writes_grid(tmp_path, capsys):
@@ -552,11 +553,11 @@ def test_cli_sweep_overflowing_reference_speed_fails_each_case(tmp_path, capsys)
     assert rc == 0
     assert "(2 failed)" in capsys.readouterr().out
     _, rows = read_sweep_csv(out / "sweep.csv")
-    # sweep.csv cells carry their commas as semicolons
+    # sweep.csv cells keep their commas: each status is the message run prints
     assert [r["status"] for r in rows] == [
         "error: line 5: infeasible: slowest agent speed 10.0 is below the reference speed "
         "bound 1.7e+308 (set allow_infeasible to run anyway)",
-        f"error: line {sim_line}: ref_speed_bound must be finite; got inf",
+        f"error: line {sim_line}: ref_speed_bound must be finite, got inf",
     ]
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ScalarNetwork
 from swarmtrack.netsim import (
+    ARRAY_MIN_DRAWS,
     SALT_PHASE,
     TARGET_ID,
     BroadcastNetwork,
@@ -96,7 +98,8 @@ def test_schedule_is_deterministic():
     advance_steps(b, 4, 0.1)
     assert a.stats.sent > 0
     assert np.array_equal(a.seq, b.seq) and a.stats == b.stats
-    assert [p[:4] for p in a.pending] == [p[:4] for p in b.pending]
+    in_flight = ["arrival", "sender", "seq", "receiver"]
+    assert a.pending[in_flight].tolist() == b.pending[in_flight].tolist()
     assert np.array_equal(a.phase, b.phase)
 
 
@@ -417,3 +420,91 @@ def test_views_match_last_accepted_oracle(run):
             assert t_stale is exp_stale
         else:
             assert (pos, vel, t_stale) == (None, None, False)
+
+
+# --------------------------------------------------------------------------
+# the network against the message-by-message one
+
+
+def assert_same_network(net, ref):
+    for name in ("pos", "vel", "heading", "recv_t", "seq"):
+        assert np.array_equal(getattr(net, name), getattr(ref, name)), name
+    assert net.stats == ref.stats
+    assert len(net.pending) == len(ref.pending)
+
+
+def run_both(config, n, seed, states, targets, dt, early=()):
+    """Drive both networks through the same steps, comparing after each one.
+
+    Each (m, receiver, sender, ahead) in `early` delivers sender's step-m
+    state to receiver before step m, stamped `ahead` seconds after it, so
+    that in-flight arrivals older than the stored one must not overwrite it.
+    """
+    net, ref = BroadcastNetwork(config, n, seed), ScalarNetwork(config, n, seed)
+    for m, ((pos, vel), target) in enumerate(zip(states, targets)):
+        tpos, tvel = target if target is not None else (None, None)
+        for network in (net, ref):
+            for step, receiver, sender, ahead in early:
+                if step == m and m > 0 and (sender or tpos is not None):
+                    state = (tpos, tvel) if sender == TARGET_ID else (pos[sender - 1], vel[sender - 1])
+                    network.deliver(receiver, sender, m * dt + ahead, *state)
+            if m == 0:
+                network.initialize(pos, vel, tpos, tvel)
+            else:
+                network.advance(m * dt, pos, vel, tpos, tvel)
+        assert_same_network(net, ref)
+    return net
+
+
+@st.composite
+def network_runs(draw):
+    n = draw(st.integers(1, 10))
+    dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    rate = st.floats(0.5, 3.0 / dt)  # above 1/dt a source sends more than once a step
+    config = NetworkConfig(
+        agent_rate=draw(rate),
+        target_rate=draw(rate),
+        loss_probability=draw(st.sampled_from([0.0, 0.5, 0.95]) | st.floats(0.0, 0.95)),
+        delay=draw(st.just(0.0) | st.floats(0.0, 4 * dt)),
+        jitter=draw(st.just(0.0) | st.floats(0.0, 4 * dt)),
+    )
+    steps = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [(rng.uniform(-50, 50, (n, 2)), rng.uniform(-5, 5, (n, 2))) for _ in range(steps)]
+    target = draw(st.sampled_from(["present", "absent", "intermittent"]))
+    targets = [
+        (rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2))
+        if target == "present" or (target == "intermittent" and rng.random() < 0.5) else None
+        for _ in range(steps)
+    ]
+    early = draw(st.lists(
+        st.tuples(st.integers(1, steps), st.integers(1, n), st.integers(0, n), st.floats(0.0, 5 * dt))
+        .filter(lambda e: e[1] != e[2]),
+        max_size=5,
+    ))
+    return config, n, draw(st.integers(0, 2**64 - 1)), states, targets, dt, early
+
+
+@given(network_runs())
+@settings(max_examples=80, deadline=None)
+def test_network_matches_message_by_message_network(run):
+    # n from 1 to 10 puts a step's draws on both sides of ARRAY_MIN_DRAWS
+    run_both(*run)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("delay", [0.0, 0.03])
+def test_one_senders_messages_tie_at_one_receiver(n, delay):
+    # the target sends 2 or 3 times a step: those messages reach each receiver
+    # at one arrival time, with n = 1 in per-draw steps and n = 8 in array steps
+    dt = 0.02
+    config = NetworkConfig(agent_rate=1.0, target_rate=2.5 / dt, delay=delay)
+    rng = np.random.default_rng(n)
+    states = [(rng.uniform(-50, 50, (n, 2)), rng.uniform(-5, 5, (n, 2))) for _ in range(12)]
+    targets = [(rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2)) for _ in range(12)]
+    net = run_both(config, n, 11, states[:2], targets[:2], dt)
+    assert (net.stats.sent * n < ARRAY_MIN_DRAWS) == (n == 1)
+    if delay:
+        to_first = net.pending[(net.pending["sender"] == TARGET_ID) & (net.pending["receiver"] == 1)]
+        assert len(to_first) >= 2 and len(set(to_first["arrival"].tolist())) == 1
+    run_both(config, n, 11, states, targets, dt)
