@@ -29,10 +29,11 @@ SALT_DISTURB = 0x4453
 
 TARGET_ID = 0
 
-# Below this many loss draws in a step (messages times n), `advance` draws and
-# delivers one at a time. The array path costs about 80 numpy calls however few
-# its draws, as much as 14 to 20 single draws and deliveries on a 2-vCPU Xeon.
-ARRAY_MIN_DRAWS = 16
+# Below this many loss draws in a step (messages times n), `advance` draws one
+# at a time and, with no delay or jitter, delivers one at a time. The array
+# path costs about 80 numpy calls however few its draws, as much as 14 to 24
+# single draws and deliveries on a 2-vCPU Xeon (measured with no delay).
+ARRAY_MIN_DRAWS = 20
 
 # One in-flight delivery of one message to one receiver.
 _DELIVERY = np.dtype([
@@ -41,28 +42,12 @@ _DELIVERY = np.dtype([
 ])
 _RECORD = np.dtype((np.void, _DELIVERY.itemsize))  # the same bytes without fields
 
-# SplitMix64's constants and shifts as numpy scalars: no int conversion per array operation
-_U64 = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
-                                    30, 27, 31))
-
 
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-def _splitmix64_array(z):
-    """`_splitmix64` of every element of a uint64 array, which wraps by itself."""
-    gamma, mix1, mix2, s30, s27, s31 = _U64
-    z = z + gamma
-    z ^= z >> s30
-    z *= mix1
-    z ^= z >> s27
-    z *= mix2
-    z ^= z >> s31
-    return z
 
 
 def counter_uniform(seed: int, *ids: int) -> float:
@@ -75,8 +60,7 @@ def counter_uniform(seed: int, *ids: int) -> float:
     """
     state = _splitmix64(seed & _MASK)
     for v in ids:
-        state = state ^ (v & _MASK)
-        state = _splitmix64(state) if type(state) is int else _splitmix64_array(state)
+        state = _splitmix64(state ^ (v & _MASK))
     return state / 2.0**64
 
 
@@ -142,8 +126,9 @@ class BroadcastNetwork:
     the state at that instant, per-receiver loss and delay are drawn, and due
     deliveries are stored. A step's (sender, seq, receiver) triples are drawn
     in one call per purpose and its deliveries applied as arrays; below
-    ARRAY_MIN_DRAWS draws they are drawn and delivered one at a time.
-    Deliveries still in flight are rows of the structured array `pending`.
+    ARRAY_MIN_DRAWS draws they are drawn one at a time, and delivered one at
+    a time when nothing is delayed. Deliveries still in flight are rows of
+    the structured array `pending`.
     """
 
     def __init__(self, config: NetworkConfig, n_agents: int, seed: int):
@@ -232,20 +217,14 @@ class BroadcastNetwork:
                 states.append((float(position[0]), float(position[1]), vx, vy, math.atan2(vy, vx)))
             due = np.flatnonzero(next_send < t_new)
         self.stats.sent += len(senders)
-        cfg = self.config
-        in_step = cfg.delay == 0.0 and cfg.jitter == 0.0  # every arrival falls at t_new
-        if len(senders) * self.n < ARRAY_MIN_DRAWS:
-            arrivals = self._draw_each(t_new, senders, seqs, states)
-            if in_step:
-                self._deliver_each(arrivals)
-                return
-            batch = np.array(arrivals, dtype=_DELIVERY)
+        if len(senders) * self.n >= ARRAY_MIN_DRAWS:
+            self._store(t_new, self._draw_arrays(t_new, senders, seqs, states))
+            return
+        arrivals = self._draw_each(t_new, senders, seqs, states)
+        if self.config.delay == 0.0 and self.config.jitter == 0.0:  # all arrive at t_new
+            self._deliver_each(arrivals)
         else:
-            batch = self._draw_arrays(t_new, senders, seqs, states)
-            if in_step:
-                self._apply(batch)
-                return
-        self._store(t_new, batch)
+            self._store(t_new, np.array(arrivals, dtype=_DELIVERY))
 
     def _draw_each(self, t_new, senders, seqs, states):
         """The step's deliveries, one scalar draw per purpose and receiver."""
@@ -309,20 +288,19 @@ class BroadcastNetwork:
             return
         due = pending.take(np.flatnonzero(is_due))
         self.pending = pending.take(np.flatnonzero(~is_due))
-        if len(due) < ARRAY_MIN_DRAWS:
-            self._deliver_each(due.tolist())
-        else:
-            self._apply(due)
+        self._apply(due)
 
     def _deliver_each(self, arrivals):
-        """Deliver (arrival, sender, seq, receiver, ...) records in that order."""
-        for arrival, sender, _, receiver, position, velocity, heading in sorted(arrivals):
+        """Deliver a step's undelayed records.
+
+        All arrive at t_new, and one sender's messages in a step carry the
+        same state, so the order of delivery does not matter.
+        """
+        for arrival, sender, _, receiver, position, velocity, heading in arrivals:
             self.deliver(receiver, sender, arrival, position, velocity, heading)
 
     def _apply(self, batch):
         """Deliver a batch as arrays: per pair the last in (arrival, seq) order."""
-        if not batch.size:
-            return
         # Numpy leaves open which write wins for a repeated index: keep one per pair.
         pair = (batch["receiver"] - 1) * (self.n + 1) + batch["sender"]  # flat (row, column)
         order = np.lexsort((batch["seq"], batch["arrival"], pair))
