@@ -21,12 +21,7 @@ from .analysis import (
     perturbation_oracle,
     simulate_phase_flow,
 )
-from .controllers import (
-    ControllerGains,
-    SpacingMode,
-    control_terms,
-    project_spacing_to_kernel,
-)
+from .controllers import ControllerGains, SpacingMode, control_terms
 from .dynamics import (
     rk4_unicycle_arrays,
     wrap_angles,
@@ -88,7 +83,6 @@ __all__ = [
     "hessian",
     "parse_scenario_text",
     "perturbation_oracle",
-    "project_spacing_to_kernel",
     "rk4_unicycle_arrays",
     "run",
     "run_oracle_centroid",

@@ -15,7 +15,8 @@ Three stacked terms per agent, each a pure function of a view of the group
   beacon is led along the point's steady velocity so that the orbits centre
   on the point instead of trailing it (see `beacon_lead`).
 
-`control_terms` evaluates all three for every agent of a view at once.
+`control_terms` evaluates all three for every agent of a view at once, with
+one solve of the 2 x 2 Gram system A A^T for both h and the projection.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def _A(vc: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.array([-vs, vc]) / len(vc)
 
 
-def _gram_solve(A: np.ndarray, rhs):
-    """Solve (A A^T) x = rhs (a 2-sequence) for the 2x2 Gram matrix; returns (x, smin, ok).
+def _gram_solve(A: np.ndarray, *rhs):
+    """One x per 2-sequence r in rhs solving (A A^T) x = r, or None if rank(A) < 2.
 
-    Explicit 2x2 arithmetic: cheap, allocation-free, and exact to rounding.
-    smin is the smaller singular value of A.
+    The Gram entries are formed once for every r. Explicit 2x2 arithmetic:
+    cheap, allocation-free, and exact to rounding.
     """
     g11 = float(A[0] @ A[0])
     g12 = float(A[0] @ A[1])
@@ -81,19 +82,12 @@ def _gram_solve(A: np.ndarray, rhs):
     det = g11 * g22 - g12 * g12
     # Eigenvalues of the Gram matrix are the squared singular values of A.
     disc = math.sqrt(max((g11 - g22) ** 2 + 4.0 * g12 * g12, 0.0))
-    lam_min = 0.5 * (tr - disc)
-    lam_max = 0.5 * (tr + disc)
-    smin = math.sqrt(max(lam_min, 0.0))
-    smax = math.sqrt(max(lam_max, 0.0))
+    smin = math.sqrt(max(0.5 * (tr - disc), 0.0))
+    smax = math.sqrt(max(0.5 * (tr + disc), 0.0))
     if smin <= 1e-8 * max(1.0, smax):
-        return np.zeros(2), smin, False
-    x = np.array(
-        [
-            (g22 * rhs[0] - g12 * rhs[1]) / det,
-            (g11 * rhs[1] - g12 * rhs[0]) / det,
-        ]
-    )
-    return x, smin, True
+        return None
+    return [np.array([(g22 * r[0] - g12 * r[1]) / det, (g11 * r[1] - g12 * r[0]) / det])
+            for r in rhs]
 
 
 def beacon_lead(speeds, gamma: float):
@@ -110,27 +104,14 @@ def beacon_lead(speeds, gamma: float):
     return (2.0 / gamma) / (speeds * speeds)
 
 
-def project_spacing_to_kernel(u_spacing: np.ndarray, A: np.ndarray):
-    """Project a spacing vector into ker(A): returns (projected, rank_ok).
-
-    (I - A^T (A A^T)^{-1} A) u leaves the velocity-error dynamics untouched.
-    With rank(A) < 2 the projector is ill-defined; the input is returned
-    unchanged and flagged.
-    """
-    u_spacing = np.asarray(u_spacing, dtype=float)
-    x, _, ok = _gram_solve(A, A @ u_spacing)
-    if not ok:
-        return u_spacing.copy(), False
-    return u_spacing - A.T @ x, True
-
-
 def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
     """(u_vel, h, u_spc): the three control terms for every agent of a view, as arrays.
 
     speeds and headings are (n,) arrays and positions an (n, 2) array; ref is
     the tuple (position, velocity, rhs, beacon_velocity) of
     `reference.reference_signal`. The heading trig, the centroid velocity and
-    A are computed once and shared. The total command is u_vel + h + u_spc.
+    A are computed once and shared, and one Gram solve of A A^T serves both h
+    and the projection. The total command is u_vel + h + u_spc.
 
     * u_vel_k = -gamma * < rhat_dot - ref_velocity, i v_k e^{i th_k} >, the
       gradient flow of V = 0.5 ||rhat_dot - ref_velocity||^2, which yields
@@ -144,8 +125,8 @@ def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
       the beacon b_k = r_ref + beacon_lead(v_k, gamma) * beacon_velocity
       (b_k = r_ref when beacon_velocity is None). Alone it settles each
       vehicle onto a clockwise orbit of bounded radius about the reference
-      point, also while the point moves at beacon_velocity. In
-      BEACON_PROJECTED mode it is projected into ker(A).
+      point, also while the point moves at beacon_velocity. BEACON_PROJECTED
+      mode projects it into ker(A), or leaves it where A has rank below 2.
     """
     ref_position, ref_velocity, rhs, beacon_velocity = ref
     n = len(speeds)
@@ -157,16 +138,6 @@ def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
     ey = vs.sum() / n - ref_velocity[1]
     u_vel = -gains.gamma * ((-ex * speeds) * s + (ey * speeds) * c)
 
-    A = None
-    h = None
-    if gains.feedforward and rhs is not None:
-        A = _A(vc, vs)
-        x, _, ok = _gram_solve(A, rhs)
-        if ok:
-            h = A.T @ x
-    if h is None:
-        h = np.zeros(n)
-
     mode = gains.spacing_mode
     if mode is SpacingMode.OFF:
         u_spc = np.zeros(n)
@@ -176,7 +147,19 @@ def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
             rel -= beacon_lead(speeds, gains.gamma)[:, None] * beacon_velocity
         inner = rel[:, 0] * vc + rel[:, 1] * vs
         u_spc = -(gains.omega0 + gains.gamma * gains.omega0 * inner)
-        if mode is SpacingMode.BEACON_PROJECTED:
-            u_spc, _ = project_spacing_to_kernel(u_spc, _A(vc, vs) if A is None else A)
-    return u_vel, h, u_spc
 
+    # One Gram solve serves both right-hand sides: the feedforward rhs and A u_spc.
+    rhs_ff = [rhs] if gains.feedforward and rhs is not None else []
+    projected = mode is SpacingMode.BEACON_PROJECTED
+    h = None
+    if rhs_ff or projected:
+        A = _A(vc, vs)
+        x = _gram_solve(A, *rhs_ff, A @ u_spc) if projected else _gram_solve(A, *rhs_ff)
+        if x is not None:
+            if rhs_ff:
+                h = A.T @ x[0]
+            if projected:
+                u_spc = u_spc - A.T @ x[-1]
+    if h is None:
+        h = np.zeros(n)
+    return u_vel, h, u_spc

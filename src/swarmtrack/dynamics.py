@@ -20,6 +20,21 @@ def vec2(x: float, y: float) -> np.ndarray:
     return np.array([float(x), float(y)])
 
 
+def finite_pair(value, what: str) -> np.ndarray:
+    """value as a float64 (x, y) array; ValueError naming `what` unless it is two finite numbers."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != (2,) or not np.isfinite(a).all():
+        raise ValueError(f"{what} must be a finite (x, y) pair, got {value!r}")
+    return a
+
+
+def require_finite(obj, *names: str) -> None:
+    """ValueError naming the first of obj's attributes `names` that is not a finite number."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{type(obj).__name__} {name} must be finite, got {getattr(obj, name)}")
+
+
 def norm(a) -> float:
     a = np.asarray(a, dtype=float)
     return float(math.hypot(a[0], a[1]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import check_feasibility, FeasibilityReport
 from .controllers import ControllerGains, control_terms
-from .dynamics import norm, rk4_unicycle_arrays, vec2, wrap_angles
+from .dynamics import finite_pair, norm, require_finite, rk4_unicycle_arrays, vec2, wrap_angles
 from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
     TargetProgram,
@@ -41,7 +41,8 @@ class AgentInit:
     speed: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        object.__setattr__(self, "position", finite_pair(self.position, "agent position"))
+        require_finite(self, "heading")
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class ConstantRef:
     velocity: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        object.__setattr__(self, "velocity", finite_pair(self.velocity, "reference velocity"))
 
     def max_speed(self) -> float:
         return norm(self.velocity)
@@ -69,6 +70,7 @@ class TurningRef:
         if not 0.0 <= self.speed < math.inf:
             raise ValueError("turning-reference speed must be non-negative and finite, "
                              f"got {self.speed}")
+        require_finite(self, "kappa", "heading0")
 
     def max_speed(self) -> float:
         return self.speed
@@ -139,6 +141,8 @@ class ScenarioConfig:
             raise ValueError("target tracking requires a target program")
         if not 0.0 <= self.disturbance < math.inf:
             raise ValueError("disturbance amplitude must be non-negative and finite")
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         report = self.feasibility()  # last: the speed bound reads the target checked above
         if not (report.feasible or self.allow_infeasible):
             raise InfeasibleScenario(report)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import norm, vec2
+from .dynamics import finite_pair, norm, require_finite, vec2
 
 
 # --------------------------------------------------------------------------
@@ -74,8 +74,9 @@ class ConstantVelocityTarget:
     velocity: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_position", np.asarray(self.initial_position, float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, float))
+        object.__setattr__(self, "initial_position",
+                           finite_pair(self.initial_position, "target position"))
+        object.__setattr__(self, "velocity", finite_pair(self.velocity, "target velocity"))
 
     def state(self, t: float):
         return self.initial_position + t * self.velocity, self.velocity.copy()
@@ -100,9 +101,11 @@ class TurningTarget:
     heading0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_position", np.asarray(self.initial_position, float))
+        object.__setattr__(self, "initial_position",
+                           finite_pair(self.initial_position, "target position"))
         if not 0.0 < self.speed < math.inf:
             raise ValueError(f"turning-target speed must be positive and finite, got {self.speed}")
+        require_finite(self, "kappa", "heading0")
 
     def state(self, t: float):
         th = self.heading0 + self.kappa * t
@@ -143,7 +146,7 @@ class WaypointTarget:
     closed: bool = True
 
     def __post_init__(self):
-        wps = tuple(np.asarray(w, dtype=float) for w in self.waypoints)
+        wps = tuple(finite_pair(w, "waypoint") for w in self.waypoints)
         if len(wps) == 0:
             raise ValueError("waypoint list must not be empty")
         # The route: the waypoints, closed back to the first when closed=True,

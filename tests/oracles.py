@@ -3,7 +3,8 @@
 Each one is written per agent, straight from the control law or identity it
 names, and shares no code path with `swarmtrack.controllers.control_terms`.
 `build_A` and `tracking_metrics` are the matrix and the log columns written
-out from their definitions, and `wrap_angle` is the angle reduction by
+out from their definitions, `kernel_projection` is the projector into ker(A)
+by the pseudo-inverse, and `wrap_angle` is the angle reduction by
 `math.remainder` that `swarmtrack.dynamics.wrap_angles` must equal bit for bit.
 `ScalarNetwork` is the broadcast network message by message, which
 `swarmtrack.netsim.BroadcastNetwork` must equal after every step.
@@ -116,6 +117,18 @@ def build_A(speeds, headings) -> np.ndarray:
     speeds = np.asarray(speeds, dtype=float)
     headings = np.asarray(headings, dtype=float)
     return np.array([-speeds * np.sin(headings), speeds * np.cos(headings)]) / len(speeds)
+
+
+def kernel_projection(u, A) -> np.ndarray:
+    """u projected into ker(A) as u - pinv(A) A u; u unchanged when rank(A) < 2.
+
+    With rank(A) < 2 the controller's projector is undefined and its spacing
+    term passes through unprojected.
+    """
+    u = np.asarray(u, dtype=float)
+    if np.linalg.matrix_rank(A) < 2:
+        return u.copy()
+    return u - np.linalg.pinv(A) @ (A @ u)
 
 
 def tracking_metrics(log) -> dict:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     build_A,
     centroid_velocity,
+    kernel_projection,
     lyapunov_V,
     random_view,
     u_spacing_beacon,
@@ -21,7 +22,6 @@ from swarmtrack.controllers import (
     SpacingMode,
     beacon_lead,
     control_terms,
-    project_spacing_to_kernel,
 )
 from swarmtrack.dynamics import rk4_unicycle_arrays, wrap_angles
 from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
@@ -156,8 +156,7 @@ def test_solve_feedforward_residual_and_min_norm():
         np.testing.assert_allclose(h, np.linalg.pinv(A) @ b, rtol=0.0,
                                    atol=1e-9 * (1.0 + np.linalg.norm(b)))
         # any kernel addition can only grow the norm
-        z, ok = project_spacing_to_kernel(rng.standard_normal(n), A)
-        assert ok
+        z = kernel_projection(rng.standard_normal(n), A)
         assert np.linalg.norm(h + z) >= np.linalg.norm(h) - 1e-12
         assert abs(h @ z) <= 1e-9 * (1.0 + np.linalg.norm(h) * np.linalg.norm(z))
 
@@ -245,31 +244,42 @@ def test_led_beacon_centres_orbit_on_moving_reference():
     assert abs(led[0]) < 0.1 * lag
 
 
+def beacon_and_projected(v):
+    """control_terms' spacing term for a view in BEACON and in BEACON_PROJECTED mode."""
+    ref = reference_signal(np.array([1.0, -2.0]), 1.0, 0.3)
+    return tuple(
+        control_terms(*v, ref, ControllerGains(gamma=0.1, omega0=0.3, spacing_mode=mode))[2]
+        for mode in (SpacingMode.BEACON, SpacingMode.BEACON_PROJECTED)
+    )
+
+
 def test_projector_annihilates_and_idempotent():
     rng = np.random.default_rng(5)
     for _ in range(50):
         n = int(rng.integers(3, 8))
-        speeds, headings, _ = random_view(rng, n)
-        A = build_A(speeds, headings)
-        raw = rng.standard_normal(n)
-        out, ok = project_spacing_to_kernel(raw, A)
-        assert ok
-        assert np.linalg.norm(A @ out) <= 1e-10 * max(1.0, np.linalg.norm(raw))
-        again, _ = project_spacing_to_kernel(out, A)
-        np.testing.assert_allclose(again, out, atol=1e-12)
+        v = random_view(rng, n)
+        A = build_A(v[0], v[1])
+        raw, out = beacon_and_projected(v)
+        scale = max(1.0, np.linalg.norm(raw))
+        assert np.linalg.norm(A @ out) <= 1e-10 * scale
+        np.testing.assert_allclose(out, kernel_projection(raw, A), rtol=0.0, atol=1e-12 * scale)
+        # projecting the projected term again changes nothing
+        np.testing.assert_allclose(kernel_projection(out, A), out, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_projector_trivial_kernel_n2():
-    out, ok = project_spacing_to_kernel(np.array([0.7, -0.4]), build_A([1.0, 1.0], [0.0, math.pi / 2]))
-    assert ok
+    v = view([1.0, 1.0], [0.0, math.pi / 2], [[3.0, 1.0], [-2.0, 4.0]])
+    raw, out = beacon_and_projected(v)
+    assert (np.abs(raw) > 0.1).all()
+    np.testing.assert_allclose(kernel_projection(raw, build_A(v[0], v[1])), np.zeros(2), atol=1e-12)
     np.testing.assert_allclose(out, np.zeros(2), atol=1e-12)
 
 
 def test_projector_rank_deficient_passthrough():
-    raw = np.array([1.0, 2.0])
-    out, ok = project_spacing_to_kernel(raw, build_A([1.0, 1.0], [0.3, 0.3]))
-    assert not ok
-    np.testing.assert_allclose(out, raw)
+    v = view([1.0, 1.0], [0.3, 0.3], [[3.0, 1.0], [-2.0, 4.0]])
+    raw, out = beacon_and_projected(v)
+    np.testing.assert_array_equal(kernel_projection(raw, build_A(v[0], v[1])), raw)
+    np.testing.assert_array_equal(out, raw)
 
 
 # --------------------------------------------------------------------------
@@ -311,15 +321,29 @@ def test_combined_control_is_sum_of_parts():
         )
 
 
-@pytest.mark.parametrize("mode", list(SpacingMode))
-def test_control_terms_match_the_separate_laws(mode):
+# Every spacing mode with feedforward on and off, and with the feedforward rhs
+# present and None (no turn, no speed change). The id of the default case,
+# feedforward on with an rhs, is the mode alone.
+LAW_CASES = [(mode, feedforward, turning) for mode in SpacingMode
+             for feedforward in (True, False) for turning in (True, False)]
+LAW_IDS = [str(mode) + ("" if feedforward else "-ff_off") + ("" if turning else "-rhs_none")
+           for mode, feedforward, turning in LAW_CASES]
+
+
+@pytest.mark.parametrize("mode, feedforward, turning", LAW_CASES, ids=LAW_IDS)
+def test_control_terms_match_the_separate_laws(mode, feedforward, turning):
     rng = np.random.default_rng(19)
     speeds, headings, positions = random_view(rng, 5)
-    ref = reference_signal(np.array([1.0, 2.0]), 1.0, 0.4, kappa_ref=0.2, a_ref=0.1,
+    kappa_ref, a_ref = (0.2, 0.1) if turning else (0.0, 0.0)
+    ref = reference_signal(np.array([1.0, 2.0]), 1.0, 0.4, kappa_ref=kappa_ref, a_ref=a_ref,
                            beacon_velocity=(0.5, 0.2))
-    gains = ControllerGains(gamma=0.1, omega0=0.3, spacing_mode=mode)
+    assert (ref[2] is None) is not turning
+    gains = ControllerGains(gamma=0.1, omega0=0.3, spacing_mode=mode, feedforward=feedforward)
     u_vel, h, u_spc = control_terms(speeds, headings, positions, ref, gains)
-    np.testing.assert_allclose(h, min_norm_h(speeds, headings, ref), rtol=0.0, atol=1e-12)
+    if feedforward and turning:
+        np.testing.assert_allclose(h, min_norm_h(speeds, headings, ref), rtol=0.0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(h, np.zeros(5))
     for k in range(5):
         assert u_vel[k] == u_velocity(speeds, headings, k, ref[1], gains.gamma)
     if mode is SpacingMode.OFF:
@@ -330,7 +354,7 @@ def test_control_terms_match_the_separate_laws(mode):
             for k in range(5)
         ])
         if mode is SpacingMode.BEACON_PROJECTED:
-            raw, _ = project_spacing_to_kernel(raw, build_A(speeds, headings))
+            raw = kernel_projection(raw, build_A(speeds, headings))
         np.testing.assert_allclose(u_spc, raw, rtol=0.0, atol=1e-12)
 
 

@@ -318,6 +318,22 @@ SQUARE_ROUTE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0))
     (lambda: basic_config(agents=()), "at least one agent"),
     (lambda: basic_config(reference_mode=TargetTracking(ConstantWeight(0.1))),
      "requires a target program"),
+    (lambda: AgentInit((NAN, 0.0), 0.0, 1.0), "agent position"),
+    (lambda: AgentInit((0.0, 0.0), INF, 1.0), "AgentInit heading"),
+    (lambda: AgentInit((0, 0, 9), 0.0, 1.0), "agent position"),
+    (lambda: TurningTarget(initial_position=(0.0, 0.0), speed=1.0, kappa=NAN),
+     "TurningTarget kappa"),
+    (lambda: TurningTarget(initial_position=(0.0, 0.0), speed=1.0, kappa=0.1, heading0=INF),
+     "TurningTarget heading0"),
+    (lambda: ConstantVelocityTarget(initial_position=(INF, 0.0), velocity=(1.0, 0.0)),
+     "target position"),
+    (lambda: ConstantVelocityTarget(initial_position=(0.0, 0.0), velocity=(NAN, 0.0)),
+     "target velocity"),
+    (lambda: WaypointTarget(waypoints=((0.0, 0.0), (NAN, 1.0)), speed=1.0), "waypoint"),
+    (lambda: TurningRef(speed=1.0, kappa=INF), "TurningRef kappa"),
+    (lambda: TurningRef(speed=1.0, kappa=0.1, heading0=NAN), "TurningRef heading0"),
+    (lambda: ConstantRef(velocity=(NAN, 0.0)), "reference velocity"),
+    (lambda: basic_config(seed=1.5, network=NetworkConfig()), "seed"),
 ], ids=[
     "gamma_nan", "gamma_inf", "omega0_nan", "omega0_inf", "u_max_nan",
     "constant_weight_nan", "constant_weight_inf",
@@ -327,6 +343,11 @@ SQUARE_ROUTE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0))
     "dwell_nan", "dwell_inf", "dwell_negative",
     "turning_ref_speed_nan", "turning_ref_speed_inf",
     "disturbance_nan", "disturbance_inf", "no_agents", "tracking_without_target",
+    "agent_position_nan", "agent_heading_inf", "agent_position_3d",
+    "turning_target_kappa_nan", "turning_target_heading0_inf",
+    "constant_velocity_target_position_inf", "constant_velocity_target_velocity_nan",
+    "waypoint_nan", "turning_ref_kappa_inf", "turning_ref_heading0_nan",
+    "constant_ref_velocity_nan", "seed_not_int",
 ])
 def test_config_dataclasses_reject_out_of_range_values(build, message):
     with pytest.raises(ValueError, match=message):
