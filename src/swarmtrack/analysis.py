@@ -301,20 +301,37 @@ def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps):
     (batch, n) block of heading rows at once, which is how large convergence
     studies stay fast.
 
-    Returns (V_history of shape (batch, n_steps+1), final headings).
+    headings0 is (batch, n), or one row of n; speeds has one entry per
+    column. The loop runs on an (n, batch) vehicle-major copy, one contiguous
+    row per vehicle, and takes the centroid velocity as the sequential sum
+    ((v_1 e^{i th_1} + v_2 e^{i th_2}) + ...) / n. For n <= 7 that is the
+    order of the engine's 1-D `vc.sum()`, so the headings follow `engine.run`
+    bit for bit; for n >= 8 numpy sums a 1-D array in pairwise blocks and the
+    two differ in the last bits.
+
+    Returns (V_history, final headings), C-contiguous arrays of shape
+    (batch, n_steps+1) and (batch, n).
     """
     v = np.asarray(speeds, dtype=float)
     ref = np.asarray(ref_velocity, dtype=float)
-    th = np.atleast_2d(np.asarray(headings0, dtype=float)).copy()
-    batch, n = th.shape
-    vh = np.empty((batch, n_steps + 1))
+    rows = np.atleast_2d(np.asarray(headings0, dtype=float))
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"speeds must be a non-empty 1-D sequence, got shape {v.shape}")
+    if rows.ndim != 2 or rows.shape[1] != v.size:
+        raise ValueError(f"headings0 must have one column per speed: {v.size} speeds, "
+                         f"headings0 of shape {rows.shape}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise ValueError(f"n_steps must be an int >= 0, got {n_steps!r}")
+    n = v.size
+    vcol = v[:, None]
+    th = rows.T.copy()
+    vh = np.empty((th.shape[1], n_steps + 1))
     for i in range(n_steps + 1):
-        c = np.cos(th)
-        s = np.sin(th)
-        ex = (v * c).mean(axis=1) - ref[0]
-        ey = (v * s).mean(axis=1) - ref[1]
+        vc = vcol * np.cos(th)
+        vs = vcol * np.sin(th)
+        ex = vc.sum(axis=0) / n - ref[0]
+        ey = vs.sum(axis=0) / n - ref[1]
         vh[:, i] = 0.5 * (ex * ex + ey * ey)
         if i < n_steps:
-            u = -gamma * (ex[:, None] * (-v * s) + ey[:, None] * (v * c))
-            th = th + dt * u
-    return vh, th
+            th = th + dt * (-gamma * (ex * -vs + ey * vc))
+    return vh, th.T.copy()

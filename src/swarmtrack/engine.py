@@ -22,6 +22,7 @@ from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_unifo
 from .reference import (
     TargetProgram,
     WeightFunction,
+    arc_offset,
     polar_velocity,
     reference_kinematics,
     reference_rates,
@@ -307,13 +308,7 @@ def _closed_form_reference(mode: ReferenceMode, p0: np.ndarray, t: float):
         vel = mode.velocity
         return reference_signal(p0 + t * vel, *polar_velocity(vel), 0.0, 0.0, vel)
     th = mode.heading0 + mode.kappa * t
-    if mode.kappa == 0.0:
-        pos = p0 + t * mode.speed * np.array([math.cos(mode.heading0), math.sin(mode.heading0)])
-    else:
-        r = mode.speed / mode.kappa
-        pos = p0 + r * np.array(
-            [math.sin(th) - math.sin(mode.heading0), math.cos(mode.heading0) - math.cos(th)]
-        )
+    pos = p0 + np.array(arc_offset(mode.speed, mode.kappa, mode.heading0, t))
     return reference_signal(pos, mode.speed, wrap_angles(th), mode.kappa, 0.0,
                             mode.speed * np.array([math.cos(th), math.sin(th)]))
 

@@ -66,6 +66,21 @@ WeightFunction = ConstantWeight | DistanceDependentWeight
 # Target programs
 
 
+def arc_offset(speed: float, kappa: float, heading0: float, t: float):
+    """(dx, dy) travelled in t seconds at `speed` on the heading heading0 + kappa*t.
+
+    The arc r*(sin th - sin heading0, cos heading0 - cos th) with r = speed/kappa;
+    the straight line speed*t*(cos heading0, sin heading0) when kappa is 0 or so
+    small that r is not finite.
+    """
+    r = speed / kappa if kappa != 0.0 else math.inf
+    if not math.isfinite(r):
+        d = speed * t
+        return d * math.cos(heading0), d * math.sin(heading0)
+    th = heading0 + kappa * t
+    return r * (math.sin(th) - math.sin(heading0)), r * (math.cos(heading0) - math.cos(th))
+
+
 @dataclass(frozen=True)
 class ConstantVelocityTarget:
     """Target moving in a straight line at fixed velocity."""
@@ -110,15 +125,8 @@ class TurningTarget:
     def state(self, t: float):
         th = self.heading0 + self.kappa * t
         vel = vec2(self.speed * math.cos(th), self.speed * math.sin(th))
-        if self.kappa == 0.0:
-            pos = self.initial_position + t * vel
-        else:
-            r = self.speed / self.kappa
-            pos = self.initial_position + vec2(
-                r * (math.sin(th) - math.sin(self.heading0)),
-                r * (math.cos(self.heading0) - math.cos(th)),
-            )
-        return pos, vel
+        dx, dy = arc_offset(self.speed, self.kappa, self.heading0, t)
+        return self.initial_position + vec2(dx, dy), vel
 
     def acceleration(self, t: float) -> np.ndarray:
         th = self.heading0 + self.kappa * t

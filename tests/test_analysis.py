@@ -1,5 +1,6 @@
 """Feasibility gate, Lyapunov metrics, and equilibrium classification."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -307,28 +308,101 @@ def test_phase_flow_V_decreases():
     assert np.all(vh[:, -1] <= vh[:, 0])
 
 
-def test_phase_flow_matches_engine_headings():
+def _engine_final_headings(headings0, speeds, ref, gamma, dt, n_steps):
+    """Headings after n_steps - 1 updates of a ground-truth engine run, spacing off."""
     from swarmtrack.controllers import ControllerGains
     from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
 
-    headings0 = np.array([0.7, -1.9, 2.4])
-    speeds = [2.0, 3.0, 4.0]
-    gamma, dt, n_steps = 0.2, 0.01, 50
     config = ScenarioConfig(
         agents=tuple(
             AgentInit(position=(i * 10.0, 0.0), heading=h, speed=s)
             for i, (h, s) in enumerate(zip(headings0, speeds))
         ),
         gains=ControllerGains(gamma=gamma),
-        reference_mode=ConstantRef(velocity=(1.0, 0.5)),
+        reference_mode=ConstantRef(velocity=ref),
         duration=n_steps * dt,
         dt=dt,
     )
-    log = run(config)
+    return run(config).theta[-1]
+
+
+def test_phase_flow_matches_engine_headings():
+    headings0 = np.array([0.7, -1.9, 2.4])
+    speeds = [2.0, 3.0, 4.0]
+    gamma, dt, n_steps = 0.2, 0.01, 50
+    theta = _engine_final_headings(headings0, speeds, (1.0, 0.5), gamma, dt, n_steps)
     _, th = simulate_phase_flow(speeds, (1.0, 0.5), gamma, headings0, dt, n_steps - 1)
     # engine wraps headings each step; compare on the circle
-    d = np.exp(1j * log.theta[-1]) - np.exp(1j * th[0])
+    d = np.exp(1j * theta) - np.exp(1j * th[0])
     assert np.max(np.abs(d)) <= 1e-12
+
+
+def test_phase_flow_matches_engine_headings_n12():
+    # n >= 8: the flow sums vehicles in sequence, the engine in numpy's pairwise
+    # blocks, so the two agree to rounding, not bit for bit
+    rng = np.random.default_rng(12)
+    headings0 = rng.uniform(-math.pi, math.pi, 12)
+    speeds = rng.uniform(10.0, 16.0, 12)
+    gamma, dt, n_steps = 0.05, 0.01, 200
+    theta = _engine_final_headings(headings0, speeds, (1.5, 0.5), gamma, dt, n_steps)
+    _, th = simulate_phase_flow(speeds, (1.5, 0.5), gamma, headings0, dt, n_steps - 1)
+    d = np.exp(1j * theta) - np.exp(1j * th[0])
+    assert np.max(np.abs(d)) <= 1e-12
+
+
+def _flow_hash(V, th):
+    h = hashlib.sha256()
+    for a in (V, th):
+        h.update(f"{a.dtype.str}:{a.shape};".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of (V, final headings), taken before the flow moved to vehicle-major rows
+PHASE_FLOW_GOLDEN = {
+    2: ("c7853542b9a34475d6f23d93de911e800a2078698e269a7b8ec001d06923d734",
+        [1.0, 2.0], (1.0, 0.0), 0.5, 0.01, 300, 5, 6),
+    3: ("aafb53d893783e987a64bdea3f7b65b2596d13fb58ed974bf41c169482a61878",
+        [10.0, 12.0, 16.0], (1.5, 0.0), 0.05, 0.05, 400, 6, 9),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PHASE_FLOW_GOLDEN))
+def test_phase_flow_golden_bits(n):
+    digest, speeds, ref, gamma, dt, n_steps, seed, batch = PHASE_FLOW_GOLDEN[n]
+    th0 = np.random.default_rng(seed).uniform(-math.pi, math.pi, (batch, n))
+    V, th = simulate_phase_flow(speeds, ref, gamma, th0, dt, n_steps)
+    # both come back C-ordered, so callers hash or copy them without a transpose
+    assert V.shape == (batch, n_steps + 1) and V.flags.c_contiguous
+    assert th.shape == (batch, n) and th.flags.c_contiguous
+    assert _flow_hash(V, th) == digest
+
+
+@pytest.mark.parametrize("speeds, headings0, n_steps, match", [
+    ([10.0, 12.0, 16.0], np.zeros((4, 1)), 5, "3 speeds.*\\(4, 1\\)"),
+    ([10.0, 12.0], np.zeros((4, 3)), 5, "2 speeds.*\\(4, 3\\)"),
+    ([10.0, 12.0], [0.1, 0.2, 0.3], 5, "2 speeds.*\\(1, 3\\)"),
+    ([10.0, 12.0], np.zeros((2, 2, 2)), 5, "2 speeds.*\\(2, 2, 2\\)"),
+    ([[10.0, 12.0]], np.zeros((4, 2)), 5, "non-empty 1-D"),
+    ([], np.zeros((4, 0)), 5, "non-empty 1-D"),
+    ([10.0, 12.0], np.zeros((4, 2)), -1, "n_steps"),
+    ([10.0, 12.0], np.zeros((4, 2)), 2.0, "n_steps"),
+    ([10.0, 12.0], np.zeros((4, 2)), True, "n_steps"),
+], ids=["one_heading_three_speeds", "three_headings_two_speeds", "one_row_too_wide",
+        "three_dims", "speeds_2d", "speeds_empty", "steps_negative", "steps_float",
+        "steps_bool"])
+def test_phase_flow_refuses_mis_shaped_inputs(speeds, headings0, n_steps, match):
+    with pytest.raises(ValueError, match=match):
+        simulate_phase_flow(speeds, (1.0, 0.0), 0.1, headings0, 0.05, n_steps)
+
+
+def test_phase_flow_zero_steps_and_numpy_int_steps():
+    th0 = np.array([[0.3, -0.4], [1.0, 2.0]])
+    V, th = simulate_phase_flow([1.0, 2.0], (1.0, 0.0), 0.1, th0, 0.05, 0)
+    assert V.shape == (2, 1) and np.array_equal(th, th0)
+    np.testing.assert_array_equal(V[:, 0], headings_V([1.0, 2.0], th0, (1.0, 0.0)))
+    V8, _ = simulate_phase_flow([1.0, 2.0], (1.0, 0.0), 0.1, th0, 0.05, np.int64(8))
+    assert V8.shape == (2, 9)
 
 
 # --------------------------------------------------------------------------

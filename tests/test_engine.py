@@ -159,6 +159,14 @@ def test_turning_reference_geometry():
         np.testing.assert_allclose(getattr(straight, name), getattr(line, name), rtol=0, atol=1e-9)
 
 
+def test_turning_reference_subnormal_kappa_runs_straight():
+    # speed / kappa overflows to inf; the reference must still be the straight line
+    log = run(basic_config(reference_mode=TurningRef(2.0, 1e-310, 0.7), duration=1.0))
+    line = log.centroid[0] + 2.0 * log.t[:, None] * np.array([math.cos(0.7), math.sin(0.7)])
+    assert np.isfinite(log.ref_pos).all()
+    np.testing.assert_allclose(log.ref_pos, line, rtol=0, atol=1e-12)
+
+
 def test_target_tracking_reference_starts_at_centroid():
     cfg = basic_config(
         reference_mode=TargetTracking(DistanceDependentWeight(0.1)),

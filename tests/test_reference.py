@@ -106,6 +106,16 @@ def test_turning_target_zero_kappa_is_a_line():
     np.testing.assert_allclose(vel, [2.0 * math.cos(0.3), 2.0 * math.sin(0.3)], atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [1e-310, -1e-310, 5e-324])
+def test_turning_target_subnormal_kappa_is_a_line(kappa):
+    # speed / kappa overflows to inf: the arc form would give (inf, nan)
+    tgt = TurningTarget(initial_position=(3.0, -1.0), speed=2.0, kappa=kappa, heading0=0.3)
+    pos, vel = target_state(tgt, 4.0)
+    np.testing.assert_allclose(pos, [3.0 + 8.0 * math.cos(0.3), -1.0 + 8.0 * math.sin(0.3)],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vel, [2.0 * math.cos(0.3), 2.0 * math.sin(0.3)], atol=1e-12)
+
+
 SQUARE = ((0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0))
 
 
