@@ -321,19 +321,22 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
     one row into out/sweep.csv; case i runs at seed base_seed + i.
 
     Every case's text is built before any case runs, so a parameter that
-    `override_scenario_text` refuses, or `sim.seed`, raises ScenarioError
-    with nothing written. A case that fails to parse or aborts is recorded in
-    its row, not fatal.
+    `override_scenario_text` refuses, `sim.seed`, or a SECTION.KEY given
+    twice raises ScenarioError with nothing written. A case that fails to
+    parse or aborts is recorded in its row, not fatal.
     """
-    if any((section, key) == ("sim", "seed") for section, key, _ in params):
+    param_names = [f"{section}.{key}" for section, key, _ in params]
+    for name in param_names:
+        if param_names.count(name) > 1:
+            raise ScenarioError(f"{name} is given twice (give all its values in one --param)")
+    if "sim.seed" in param_names:
         raise ScenarioError("sweeping sim.seed is not supported (case i runs at the base seed + i)")
     out = Path(out_dir)
-    grids = [[(section, key, v) for v in values] for section, key, values in params]
-    cases = list(itertools.product(*grids)) if params else []
+    cases = list(itertools.product(*(values for *_, values in params))) if params else []
     jobs = []
-    for i, combo in enumerate(cases):
+    for i, case in enumerate(cases):
         case_text = text
-        for section, key, value in combo:
+        for (section, key, _), value in zip(params, case):
             case_text = override_scenario_text(case_text, section, key, value)
         jobs.append((i, case_text, str(out / f"case_{i:03d}"), base_seed + i))
     out.mkdir(parents=True, exist_ok=True)
@@ -345,12 +348,10 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
 
     metric_names = ["final_V", "beta_mean_after_transient", "beta_max_after_transient",
                     "max_dist_after_transient", "delivered_ratio"]
-    param_names = [f"{section}.{key}" for section, key, _ in params]
     rows = []
-    for (index, status, metrics), combo in zip(results, cases):
+    for (index, status, metrics), case in zip(results, cases):
         row = {"case": index, "seed": base_seed + index, "status": status}
-        for (section, key, value) in combo:
-            row[f"{section}.{key}"] = value
+        row.update(zip(param_names, case))
         for name in metric_names:
             row[name] = metrics.get(name)
         rows.append(row)

@@ -317,6 +317,19 @@ def _closed_form_reference(mode: ReferenceMode, p0: np.ndarray, t: float):
 # Main loop
 
 
+def _start(config: ScenarioConfig):
+    """(x, y, wrapped headings, centroid, empty log) at a run's start; the log
+    holds the feasibility verdict, and NaN target columns when there is no target."""
+    x = np.array([a.position[0] for a in config.agents])
+    y = np.array([a.position[1] for a in config.agents])
+    th = wrap_angles([a.heading for a in config.agents])
+    log = _alloc_log(config.steps, config.n, config.speeds, config.dt, config.seed)
+    log.meta["feasibility"] = config.feasibility()
+    if config.target is None:
+        log.target_pos[:] = log.target_vel[:] = log.beta_norm[:] = math.nan
+    return x, y, th, vec2(x.mean(), y.mean()), log
+
+
 def run(config: ScenarioConfig) -> RunLog:
     """Simulate a scenario and return its complete log.
 
@@ -327,15 +340,7 @@ def run(config: ScenarioConfig) -> RunLog:
     n, dt, steps = config.n, config.dt, config.steps
     gains = config.gains
     speeds = config.speeds
-    x = np.array([a.position[0] for a in config.agents])
-    y = np.array([a.position[1] for a in config.agents])
-    th = wrap_angles([a.heading for a in config.agents])
-
-    log = _alloc_log(steps, n, speeds, dt, config.seed)
-    log.meta["feasibility"] = config.feasibility()
-    if config.target is None:
-        log.target_pos[:] = log.target_vel[:] = log.beta_norm[:] = math.nan
-    centroid0 = vec2(x.mean(), y.mean())
+    x, y, th, centroid0, log = _start(config)
 
     tracking = isinstance(config.reference_mode, TargetTracking)
     weight = config.reference_mode.weight if tracking else None
@@ -461,17 +466,11 @@ def run_oracle_centroid(config: ScenarioConfig) -> RunLog:
     if not isinstance(config.reference_mode, TargetTracking):
         raise ValueError("the centroid oracle only makes sense for target-tracking configs")
     dt, steps = config.dt, config.steps
-    x0 = np.array([a.position[0] for a in config.agents])
-    y0 = np.array([a.position[1] for a in config.agents])
-    th0 = wrap_angles([a.heading for a in config.agents])
-    centroid0 = vec2(x0.mean(), y0.mean())
+    x0, y0, th0, centroid0, log = _start(config)
     offx, offy = x0 - centroid0[0], y0 - centroid0[1]
 
     beta = centroid0 - target_state(config.target, 0.0)[0]
     w = config.reference_mode.weight
-
-    log = _alloc_log(steps, config.n, config.speeds, dt, config.seed)
-    log.meta["feasibility"] = config.feasibility()
 
     for m in range(steps):
         t = m * dt

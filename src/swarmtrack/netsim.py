@@ -32,7 +32,8 @@ TARGET_ID = 0
 # Below this many loss draws in a step (messages times n), `advance` draws one
 # at a time and, with no delay or jitter, delivers one at a time. The array
 # path costs about 80 numpy calls however few its draws, as much as 14 to 24
-# single draws and deliveries on a 2-vCPU Xeon (measured with no delay).
+# single draws and deliveries on a 2-vCPU Xeon with no delay; at n = 3 with
+# 50 ms delay and jitter, forcing it there doubled `advance` (65 -> 152 us/step).
 ARRAY_MIN_DRAWS = 20
 
 # One in-flight delivery of one message to one receiver.
@@ -126,9 +127,9 @@ class BroadcastNetwork:
     the state at that instant, per-receiver loss and delay are drawn, and due
     deliveries are stored. A step's (sender, seq, receiver) triples are drawn
     in one call per purpose and its deliveries applied as arrays; below
-    ARRAY_MIN_DRAWS draws they are drawn one at a time, and delivered one at
-    a time when nothing is delayed. Deliveries still in flight are rows of
-    the structured array `pending`.
+    ARRAY_MIN_DRAWS draws they are drawn one at a time, and with no delay or
+    jitter each survivor is delivered as it is drawn. Deliveries still in
+    flight are rows of the structured array `pending`.
     """
 
     def __init__(self, config: NetworkConfig, n_agents: int, seed: int):
@@ -217,19 +218,19 @@ class BroadcastNetwork:
                 states.append((float(position[0]), float(position[1]), vx, vy, math.atan2(vy, vx)))
             due = np.flatnonzero(next_send < t_new)
         self.stats.sent += len(senders)
-        if len(senders) * self.n >= ARRAY_MIN_DRAWS:
-            self._store(t_new, self._draw_arrays(t_new, senders, seqs, states))
-            return
-        arrivals = self._draw_each(t_new, senders, seqs, states)
-        if self.config.delay == 0.0 and self.config.jitter == 0.0:  # all arrive at t_new
-            self._deliver_each(arrivals)
-        else:
-            self._store(t_new, np.array(arrivals, dtype=_DELIVERY))
+        draw = self._draw_arrays if len(senders) * self.n >= ARRAY_MIN_DRAWS else self._draw_each
+        self._store(t_new, draw(t_new, senders, seqs, states))
 
     def _draw_each(self, t_new, senders, seqs, states):
-        """The step's deliveries, one scalar draw per purpose and receiver."""
+        """The step's deliveries, one scalar draw per purpose and receiver.
+
+        With no delay or jitter nothing is in flight and one sender's messages
+        in a step carry the same state, so each survivor is delivered as it is
+        drawn; otherwise the survivors come back as a batch for `_store`.
+        """
         cfg, seed, stats = self.config, self.seed, self.stats
-        arrivals = []
+        undelayed = cfg.delay == 0.0 and cfg.jitter == 0.0
+        delayed = []
         for s, seq, (px, py, vx, vy, heading) in zip(senders, seqs, states):
             position, velocity = (px, py), (vx, vy)
             for receiver in range(1, self.n + 1):
@@ -240,11 +241,14 @@ class BroadcastNetwork:
                     stats.dropped += 1
                     continue
                 stats.delivered += 1
+                if undelayed:
+                    self.deliver(receiver, s, t_new, position, velocity, heading)
+                    continue
                 delay = cfg.delay
                 if cfg.jitter > 0.0:
                     delay += cfg.jitter * counter_uniform(seed, SALT_JITTER, s, seq, receiver)
-                arrivals.append((t_new + delay, s, seq, receiver, position, velocity, heading))
-        return arrivals
+                delayed.append((t_new + delay, s, seq, receiver, position, velocity, heading))
+        return np.array(delayed, dtype=_DELIVERY)
 
     def _draw_arrays(self, t_new, senders, seqs, states):
         """The step's deliveries from one loss draw and one jitter draw.
@@ -282,6 +286,8 @@ class BroadcastNetwork:
             pending = np.concatenate((pending.view(_RECORD), batch.view(_RECORD))).view(_DELIVERY)
         elif batch.size:
             pending = batch
+        elif not pending.size:
+            return
         is_due = pending["arrival"] <= t_new
         if not is_due.any():
             self.pending = pending
@@ -289,15 +295,6 @@ class BroadcastNetwork:
         due = pending.take(np.flatnonzero(is_due))
         self.pending = pending.take(np.flatnonzero(~is_due))
         self._apply(due)
-
-    def _deliver_each(self, arrivals):
-        """Deliver a step's undelayed records.
-
-        All arrive at t_new, and one sender's messages in a step carry the
-        same state, so the order of delivery does not matter.
-        """
-        for arrival, sender, _, receiver, position, velocity, heading in arrivals:
-            self.deliver(receiver, sender, arrival, position, velocity, heading)
 
     def _apply(self, batch):
         """Deliver a batch as arrays: per pair the last in (arrival, seq) order."""

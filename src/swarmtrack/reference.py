@@ -70,14 +70,15 @@ def arc_offset(speed: float, kappa: float, heading0: float, t: float):
     """(dx, dy) travelled in t seconds at `speed` on the heading heading0 + kappa*t.
 
     The arc r*(sin th - sin heading0, cos heading0 - cos th) with r = speed/kappa;
-    the straight line speed*t*(cos heading0, sin heading0) when kappa is 0 or so
-    small that r is not finite.
+    the straight line speed*t*(cos heading0, sin heading0) when kappa is 0, r is
+    not finite, or th == heading0 at t != 0 (kappa*t below half an ulp of
+    heading0, where the arc cancels to 0 and the line is exact to rounding).
     """
     r = speed / kappa if kappa != 0.0 else math.inf
-    if not math.isfinite(r):
+    th = heading0 + kappa * t
+    if not math.isfinite(r) or (th == heading0 and t != 0.0):
         d = speed * t
         return d * math.cos(heading0), d * math.sin(heading0)
-    th = heading0 + kappa * t
     return r * (math.sin(th) - math.sin(heading0)), r * (math.cos(heading0) - math.cos(th))
 
 

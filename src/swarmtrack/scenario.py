@@ -1,10 +1,11 @@
 """Scenario file parsing, and overrides of one key in scenario text.
 
 The format is INI-like structured text: `[section]` headers, `key = value`
-pairs, `#`/`;` comments, blank lines. The `[agents]` section repeats once per
-agent; every other section appears at most once. Unknown sections and keys are
-hard errors, and every diagnostic carries its line number — scenario files are
-an interface, so silent tolerance of typos would be worse than strictness.
+pairs, blank lines, and `#`/`;` comments that may end any line, headers too.
+The `[agents]` section repeats once per agent; every other section appears at
+most once. Unknown sections and keys are hard errors, and every diagnostic
+carries its line number — scenario files are an interface, so silent
+tolerance of typos would be worse than strictness.
 
 Each section (and each `[target]` program and `[reference]` mode) is read
 through one table that maps a file key to `(constructor keyword, parser,
@@ -256,19 +257,18 @@ def _build(cls, sec: _Section, kwargs: dict):
 def _tokenize(text: str):
     """Yield (kind, payload, line) for section headers and key-value pairs."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        line = raw.split("#", 1)[0].split(";", 1)[0].strip()  # a comment may end any line
+        if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ScenarioError(f"malformed section header '{raw.strip()}'", lineno)
+                raise ScenarioError(f"malformed section header '{line}'", lineno)
             yield "section", line[1:-1].strip().lower(), lineno
             continue
         if "=" not in line:
-            raise ScenarioError(f"expected 'key = value', got '{raw.strip()}'", lineno)
+            raise ScenarioError(f"expected 'key = value', got '{line}'", lineno)
         key, _, value = line.partition("=")
-        value = value.split("#", 1)[0].split(";", 1)[0].strip()
-        yield "kv", (key.strip().lower(), value), lineno
+        yield "kv", (key.strip().lower(), value.strip()), lineno
 
 
 def _collect_sections(text: str):

@@ -606,21 +606,25 @@ def test_cli_sweep_rejects_repeatable_keys(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-@pytest.mark.parametrize("param, message", [
-    ("agents.speed=1,2", "sweeping [agents] keys is not supported"),
-    ("target.waypoint=50 50", "repeatable key target.waypoint is not supported"),
-    ("sim.seed=1,2", "sweeping sim.seed is not supported"),
-    ("turbo.boost=1,2", "missing section [turbo]"),
-    ("controller.gama=0.1,0.2", "unknown key 'gama' in [controller]"),
-    ("controller.gamma=", "no values given"),
-], ids=["agents", "repeatable", "seed", "missing_section", "misspelled_key", "no_values"])
-def test_cli_sweep_refuses_before_any_case_runs(tmp_path, capsys, param, message):
-    # case i runs at --seed + i, so a swept sim.seed would be recorded but never used
+@pytest.mark.parametrize("params, message", [
+    (["agents.speed=1,2"], "sweeping [agents] keys is not supported"),
+    (["target.waypoint=50 50"], "repeatable key target.waypoint is not supported"),
+    (["sim.seed=1,2"], "sweeping sim.seed is not supported"),
+    (["turbo.boost=1,2"], "missing section [turbo]"),
+    (["controller.gama=0.1,0.2"], "unknown key 'gama' in [controller]"),
+    (["controller.gamma="], "no values given"),
+    (["controller.gamma=0.001", "Controller.GAMMA=0.01"], "controller.gamma is given twice"),
+], ids=["agents", "repeatable", "seed", "missing_section", "misspelled_key", "no_values",
+        "repeated_key"])
+def test_cli_sweep_refuses_before_any_case_runs(tmp_path, capsys, params, message):
+    # case i runs at --seed + i, so a swept sim.seed would be recorded but never used;
+    # a key given twice would run only its last value under two columns
     scenario = tmp_path / "base.ini"
     scenario.write_text(override_scenario_text(bundled_scenario_text(), "sim", "duration", "1"),
                         encoding="utf-8")
+    args = [arg for param in params for arg in ("--param", param)]
     rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "s"),
-                   "--param", param, "--seed", "5"])
+                   *args, "--seed", "5"])
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
@@ -674,7 +678,10 @@ def test_override_refuses_agents_section():
     ("seed = 7", "SEED = 7"),
     ("seed = 7", "seed = 7  # note"),
     ("seed = 7\n", ""),
-], ids=["spaced_header", "upper_header", "upper_key", "comment", "no_seed"])
+    ("[sim]", "[sim]  # run settings"),
+    ("[sim]", "[sim] ; run settings"),
+], ids=["spaced_header", "upper_header", "upper_key", "comment", "no_seed",
+        "header_hash_comment", "header_semicolon_comment"])
 def test_override_agrees_with_parser(old, new):
     base = SMALL.replace("seed = 3", "seed = 7")
     text = base.replace(old, new)

@@ -106,9 +106,10 @@ def test_turning_target_zero_kappa_is_a_line():
     np.testing.assert_allclose(vel, [2.0 * math.cos(0.3), 2.0 * math.sin(0.3)], atol=1e-12)
 
 
-@pytest.mark.parametrize("kappa", [1e-310, -1e-310, 5e-324])
+@pytest.mark.parametrize("kappa", [1e-310, -1e-310, 5e-324, 1e-300, -1e-300])
 def test_turning_target_subnormal_kappa_is_a_line(kappa):
-    # speed / kappa overflows to inf: the arc form would give (inf, nan)
+    # speed / kappa overflows to inf, where the arc form would give (inf, nan),
+    # or kappa * t is lost against heading0, where it would give no offset
     tgt = TurningTarget(initial_position=(3.0, -1.0), speed=2.0, kappa=kappa, heading0=0.3)
     pos, vel = target_state(tgt, 4.0)
     np.testing.assert_allclose(pos, [3.0 + 8.0 * math.cos(0.3), -1.0 + 8.0 * math.sin(0.3)],

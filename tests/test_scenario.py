@@ -282,6 +282,8 @@ def test_unknown_section():
 def test_malformed_section_header():
     text = MINIMAL.replace("[sim]", "[sim")
     expect_error(text, "[sim", "malformed section header '[sim'")
+    text = MINIMAL.replace("[sim]", "[sim  # run length")
+    expect_error(text, "[sim", "malformed section header '[sim'")
 
 
 def test_key_before_any_section():
