@@ -18,6 +18,7 @@ import numpy as np
 from .dynamics import norm, wrap_angles
 
 ZERO_EIG_REL_TOL = 1e-9
+CRITICAL_REL_TOL = 1e-9  # build_equilibrium's zero, relative to 1 + |ref| + mean speed
 
 
 # --------------------------------------------------------------------------
@@ -45,8 +46,8 @@ class FeasibilityReport:
     marginal: bool
 
 
-def check_feasibility(speeds, ref_speed_bound: float) -> FeasibilityReport:
-    """Evaluate both feasibility conditions (non-strict, as inequalities)."""
+def _speed_set(speeds) -> np.ndarray:
+    """The speeds as a float array, refused unless non-empty 1-D, finite and positive."""
     speeds = np.asarray(speeds, dtype=float)
     if speeds.ndim != 1 or len(speeds) < 1:
         raise ValueError("speeds must be a non-empty 1-D sequence")
@@ -54,6 +55,12 @@ def check_feasibility(speeds, ref_speed_bound: float) -> FeasibilityReport:
         raise ValueError(f"speeds must all be finite, got {speeds.tolist()}")
     if np.any(speeds <= 0.0):
         raise ValueError(f"speeds must all be positive, got {speeds.tolist()}")
+    return speeds
+
+
+def check_feasibility(speeds, ref_speed_bound: float) -> FeasibilityReport:
+    """Evaluate both feasibility conditions (non-strict, as inequalities)."""
+    speeds = _speed_set(speeds)
     if not math.isfinite(ref_speed_bound):
         raise ValueError(f"ref_speed_bound must be finite, got {ref_speed_bound}")
     if ref_speed_bound < 0.0:
@@ -134,7 +141,7 @@ class EquilibriumSpec:
         return wrap_angles(np.where(self.anti_aligned, self.phi + math.pi, self.phi))
 
 
-def build_equilibrium(speeds, m: int, phi: float, ref_velocity, tol: float = 1e-9) -> EquilibriumSpec:
+def build_equilibrium(speeds, m: int, phi: float, ref_velocity) -> EquilibriumSpec:
     """Construct the critical configuration with the first m agents at phi + pi.
 
     The remaining agents take heading phi. Rejects (EquilibriumRejected) when
@@ -143,24 +150,18 @@ def build_equilibrium(speeds, m: int, phi: float, ref_velocity, tol: float = 1e-
     critical at all). When the error points at phi + pi the phase is reflected
     so the stored spec always has the error along e^{i phi}.
     """
-    speeds = np.asarray(speeds, dtype=float)
+    speeds = _speed_set(speeds)
     ref = np.asarray(ref_velocity, dtype=float)
-    if speeds.ndim != 1 or len(speeds) < 1:
-        raise ValueError("speeds must be a non-empty 1-D sequence")
     n = len(speeds)
-    if not (np.isfinite(speeds).all() and math.isfinite(phi) and np.isfinite(ref).all()):
-        raise ValueError(
-            f"speeds, phi and ref must be finite, got {speeds.tolist()}, {phi}, {ref.tolist()}"
-        )
-    if np.any(speeds <= 0.0):
-        raise ValueError("speeds must be positive")
+    if not (math.isfinite(phi) and np.isfinite(ref).all()):
+        raise ValueError(f"phi and ref must be finite, got {phi}, {ref.tolist()}")
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in 0..{n}, got {m}")
     e_phi = np.array([math.cos(phi), math.sin(phi)])
     scale = 1.0 + norm(ref) + float(speeds.mean())
     # Criticality requires the reference parallel to the common axis.
     perp = -e_phi[1] * ref[0] + e_phi[0] * ref[1]
-    if abs(perp) > tol * scale:
+    if abs(perp) > CRITICAL_REL_TOL * scale:
         raise EquilibriumRejected(
             "reference velocity is not parallel to the heading axis; configuration is not critical"
         )
@@ -168,7 +169,7 @@ def build_equilibrium(speeds, m: int, phi: float, ref_velocity, tol: float = 1e-
     anti[:m] = True
     # Signed error component along e^{i phi}.
     s = float((np.where(anti, -speeds, speeds)).mean() - (e_phi @ ref))
-    if abs(s) <= tol * scale:
+    if abs(s) <= CRITICAL_REL_TOL * scale:
         raise EquilibriumRejected("velocity error is zero: desired equilibrium, not classified here")
     reflected = s < 0.0
     if reflected:

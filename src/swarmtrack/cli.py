@@ -8,11 +8,13 @@ Subcommands:
     replay-experiment  run the bundled field-experiment scenario
 
 Artifacts written by `run` (and per sweep case): trajectory.csv (one row per
-control step, wide format), summary.json, plot.gp (gnuplot script). Exit codes:
-0 success, 1 usage/parse/abort errors (a log too long to allocate, an unwritable
---out), 2 infeasible speed set. Building a ScenarioConfig judges its speed set,
-and the parser reports an infeasible file at the offending speed's line, so it
-exits 1; exit code 2 comes only from `feasibility`.
+control step, wide format), summary.json, plot.gp (gnuplot script). A run ends
+"ok", "aborted: ..." (non-finite state; partial artifacts written) or
+"error: ..." (a log too long to allocate, artifacts that cannot be written).
+`run` prints a status other than "ok" and exits 1; `sweep` records it in the
+case's row. `main` reports a failed command in one "rejected: ..." or
+"error: ..." line and exits 1. Exit code 2, an infeasible speed set, comes only
+from `feasibility`; the parser refuses an infeasible file at its speed's line.
 """
 
 from __future__ import annotations
@@ -280,6 +282,23 @@ def write_artifacts(log: RunLog, out_dir, config: ScenarioConfig | None = None) 
     return summary
 
 
+def _run_case(config: ScenarioConfig, out_dir) -> tuple[str, dict | None]:
+    """Run a config and write its artifacts to out_dir: (status, summary). The status
+    is "ok", "aborted: <why> (partial artifacts in <out_dir>)", or "error: <why>" with
+    no summary when the log cannot be allocated or the artifacts cannot be written."""
+    try:
+        try:
+            log = run(config)
+        except SimulationAborted as exc:
+            log = exc.log
+        summary = write_artifacts(log, out_dir, config)
+    except (MemoryError, OSError) as exc:
+        return f"error: {exc}", None
+    if log.aborted is not None:
+        return f"aborted: {log.aborted} (partial artifacts in {out_dir})", summary
+    return "ok", summary
+
+
 # --------------------------------------------------------------------------
 # sweep
 
@@ -297,23 +316,24 @@ def _parse_sweep_param(spec: str):
 
 
 def _run_sweep_case(job):
-    """Parse, run and write one sweep case; module-level so process pools can
-    pickle it."""
+    """Parse, run and write one sweep case: (index, status, metrics of an "ok" case);
+    module-level so process pools can pickle it."""
     index, text, out_dir, seed = job
     try:
         config = parse_scenario_text(text, seed_override=seed)
-        log = run(config)
-        summary = write_artifacts(log, out_dir, config)
-        m = summary["metrics"]
-        return index, "ok", {
-            "final_V": m["final_V"],
-            "beta_mean_after_transient": m["beta"]["mean_after_transient"],
-            "beta_max_after_transient": m["beta"]["max_after_transient"],
-            "max_dist_after_transient": m["spacing"]["max_dist_after_transient"],
-            "delivered_ratio": m["network"]["delivered_ratio"],
-        }
-    except (ScenarioError, SimulationAborted, MemoryError) as exc:
+    except ValueError as exc:
         return index, f"error: {exc}", {}
+    status, summary = _run_case(config, out_dir)
+    if status != "ok":
+        return index, status, {}
+    m = summary["metrics"]
+    return index, status, {
+        "final_V": m["final_V"],
+        "beta_mean_after_transient": m["beta"]["mean_after_transient"],
+        "beta_max_after_transient": m["beta"]["max_after_transient"],
+        "max_dist_after_transient": m["spacing"]["max_dist_after_transient"],
+        "delivered_ratio": m["network"]["delivered_ratio"],
+    }
 
 
 def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> list[dict]:
@@ -323,7 +343,7 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
     Every case's text is built before any case runs, so a parameter that
     `override_scenario_text` refuses, `sim.seed`, or a SECTION.KEY given
     twice raises ScenarioError with nothing written. A case that fails to
-    parse or aborts is recorded in its row, not fatal.
+    parse, aborts or cannot be written is recorded in its row, not fatal.
     """
     param_names = [f"{section}.{key}" for section, key, _ in params]
     for name in param_names:
@@ -388,29 +408,17 @@ def _scenario_text(args) -> str:
 def _cmd_run(args) -> int:
     try:
         config = parse_scenario_text(_scenario_text(args), seed_override=args.seed)
-    except (OSError, ScenarioError) as exc:
+    except (OSError, ValueError) as exc:
         name = Path(args.scenario).name if args.scenario else "bundled scenario"
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
-    return _execute(config, args.out)
-
-
-def _execute(config: ScenarioConfig, out_dir) -> int:
-    try:
-        try:
-            log = run(config)
-        except SimulationAborted as exc:
-            log = exc.log  # the partial log's artifacts are written all the same
-        summary = write_artifacts(log, out_dir, config)
-    except (MemoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if log.aborted is not None:
-        print(f"aborted: {log.aborted} (partial artifacts in {out_dir})", file=sys.stderr)
+    status, summary = _run_case(config, args.out)
+    if status != "ok":
+        print(status, file=sys.stderr)
         return 1
     m = summary["metrics"]
     beta = m["beta"]
-    print(f"wrote {Path(out_dir) / 'trajectory.csv'} ({m['rows']} rows)")
+    print(f"wrote {Path(args.out) / 'trajectory.csv'} ({m['rows']} rows)")
     print(f"final V = {m['final_V']:.6g}")
     if beta["mean_after_transient"] is not None:
         print(f"|centroid - target| after t={m['transient_time']:g}: "
@@ -422,13 +430,9 @@ def _execute(config: ScenarioConfig, out_dir) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        text = _scenario_text(args)
-        params = [_parse_sweep_param(p) for p in (args.param or [])]
-        rows = run_sweep(text, params, args.out, args.seed, parallel=args.parallel)
-    except (OSError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    text = _scenario_text(args)
+    params = [_parse_sweep_param(p) for p in (args.param or [])]
+    rows = run_sweep(text, params, args.out, args.seed, parallel=args.parallel)
     failures = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows)} cases -> {Path(args.out) / 'sweep.csv'} ({len(failures)} failed)")
     for r in failures:
@@ -437,20 +441,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        speeds = _parse_floats(args.speeds)
-        ref = _parse_floats(args.ref)
-        if len(ref) != 2:
-            raise ValueError("--ref needs two numbers 'vx,vy'")
-        spec = build_equilibrium(speeds, args.m, args.phi, ref)
-        rep = perturbation_oracle(spec, epsilon=args.epsilon, samples=args.samples,
-                                  seed=args.oracle_seed) if args.oracle else None
-    except EquilibriumRejected as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    speeds = _parse_floats(args.speeds)
+    ref = _parse_floats(args.ref)
+    if len(ref) != 2:
+        raise ValueError("--ref needs two numbers 'vx,vy'")
+    spec = build_equilibrium(speeds, args.m, args.phi, ref)
+    rep = perturbation_oracle(spec, epsilon=args.epsilon, samples=args.samples,
+                              seed=args.oracle_seed) if args.oracle else None
     verdict = classify_equilibrium(spec)
     print(f"class: {verdict.klass.value}")
     print(f"anti-aligned count m = {verdict.m}" + (" (after reflection)" if spec.reflected else ""))
@@ -466,11 +463,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
-    try:
-        report = check_feasibility(_parse_floats(args.speeds), args.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = check_feasibility(_parse_floats(args.speeds), args.bound)
     print(f"slowest speed {report.v_min:g} vs reference speed bound {report.ref_speed_bound:g}: "
           + ("ok" if report.condition1_ok else "VIOLATED"))
     print(f"fastest speed {report.v_max:g} vs sum of others {report.sum_others:g}: "
@@ -550,7 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EquilibriumRejected as exc:
+        print(f"rejected: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -316,6 +316,15 @@ def test_cli_run_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", str(scenario), "--out", str(scenario)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+    # a file that is not UTF-8 is a bad file for every command that reads one
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(SMALL.replace("[sim]", "[sim]\n# vitesse \xe9lev\xe9e").encode("latin-1"))
+    for command in ("run", "sweep"):
+        rc = cli.main([command, "--scenario", str(latin1), "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_cli_run_unallocatable_log_exits_1(tmp_path, capsys):
@@ -365,6 +374,26 @@ def test_cli_run_abort_exits_1_with_partial_artifacts(tmp_path, capsys):
     cols, _ = read_trajectory_csv(out / "trajectory.csv")
     assert 1 <= len(cols["t"]) < 100
     with open(out / "summary.json", encoding="utf-8") as fh:
+        assert "non-finite" in json.load(fh)["config"]["aborted"]
+
+
+def test_cli_sweep_aborted_case_keeps_partial_artifacts(tmp_path, capsys):
+    # an aborted case keeps its partial artifacts, as `run` does, and its row says why
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(SMALL, encoding="utf-8")
+    out = tmp_path / "sweep"
+    with np.errstate(all="ignore"):
+        rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out),
+                       "--param", "controller.gamma=0.1,1e308"])
+    assert rc == 0
+    assert "(1 failed)" in capsys.readouterr().out
+    _, rows = read_sweep_csv(out / "sweep.csv")
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("aborted: non-finite state")
+    assert rows[1]["status"].endswith(f"(partial artifacts in {out / 'case_001'})")
+    assert rows[1]["final_V"] == ""
+    assert (out / "case_001" / "trajectory.csv").is_file()
+    with open(out / "case_001" / "summary.json", encoding="utf-8") as fh:
         assert "non-finite" in json.load(fh)["config"]["aborted"]
 
 
@@ -524,6 +553,25 @@ def test_cli_sweep_case_error_recorded_not_fatal(tmp_path, capsys):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["final_V"] == ""
+
+
+def test_cli_sweep_unwritable_case_fails_only_its_case(tmp_path, capsys):
+    # a file where case 1's directory belongs: case 2 still runs and sweep.csv is written
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(SMALL, encoding="utf-8")
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "case_001").write_text("in the way", encoding="utf-8")
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out),
+                   "--param", "controller.gamma=0.05,0.1,0.2"])
+    assert rc == 0
+    assert "(1 failed)" in capsys.readouterr().out
+    _, rows = read_sweep_csv(out / "sweep.csv")
+    assert [r["status"] for r in rows[::2]] == ["ok", "ok"]
+    assert rows[1]["status"].startswith("error:")
+    assert "File exists" in rows[1]["status"]
+    assert rows[1]["final_V"] == ""
+    assert (out / "case_002" / "trajectory.csv").is_file()
 
 
 def test_cli_sweep_overflowing_duration_fails_only_its_case(tmp_path, capsys):
