@@ -397,20 +397,24 @@ def _parse_floats(text: str) -> list[float]:
 
 def _scenario_text(args) -> str:
     """The text a command runs: its --scenario file, or the bundled one when it
-    has none, with `[sim] allow_infeasible` set by --allow-infeasible."""
-    text = (Path(args.scenario).read_text(encoding="utf-8") if args.scenario
-            else bundled_scenario_text())
+    has none, with `[sim] allow_infeasible` set by --allow-infeasible. A file
+    that cannot be read raises ScenarioError naming it as it was given."""
+    try:
+        text = (Path(args.scenario).read_text(encoding="utf-8") if args.scenario
+                else bundled_scenario_text())
+    except (OSError, UnicodeError) as exc:
+        raise ScenarioError(f"{args.scenario or 'bundled scenario'}: {exc}") from None
     if args.allow_infeasible:
         text = override_scenario_text(text, "sim", "allow_infeasible", "on")
     return text
 
 
 def _cmd_run(args) -> int:
+    text = _scenario_text(args)
     try:
-        config = parse_scenario_text(_scenario_text(args), seed_override=args.seed)
-    except (OSError, ValueError) as exc:
-        name = Path(args.scenario).name if args.scenario else "bundled scenario"
-        print(f"error: {name}: {exc}", file=sys.stderr)
+        config = parse_scenario_text(text, seed_override=args.seed)
+    except ValueError as exc:
+        print(f"error: {args.scenario or 'bundled scenario'}: {exc}", file=sys.stderr)
         return 1
     status, summary = _run_case(config, args.out)
     if status != "ok":

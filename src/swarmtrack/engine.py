@@ -344,7 +344,7 @@ def run(config: ScenarioConfig) -> RunLog:
 
     tracking = isinstance(config.reference_mode, TargetTracking)
     weight = config.reference_mode.weight if tracking else None
-    net = BroadcastNetwork(config.network, n, config.seed) if config.network is not None else None
+    net = BroadcastNetwork(config.network, n, config.seed, dt, steps) if config.network else None
     # Generated reference points (see _sample_reference): row 0 is the
     # observer's, rows 1..n the agents' own in networked tracking mode.
     ref_rows = 1 + n if tracking and net is not None else 1

@@ -7,9 +7,10 @@ the last-received state of every sender (one row of the network's arrays) and
 computes its controls from that row, reproducing the decentralized information
 structure of a real swarm: agents may briefly disagree about where everyone is.
 
-All randomness is counter-based: every draw is a pure hash of
-(seed, purpose, sender, sequence, receiver), so outcomes do not depend on
-evaluation order and a run is bit-reproducible from its seed.
+All randomness is counter-based: every draw is a pure hash of (seed, purpose,
+sender, sequence, receiver), so a run is bit-reproducible from its seed, and
+every send, loss, arrival and overwrite is known before the run: the network
+plans them a window of steps ahead, and only message states come from the run.
 """
 
 from __future__ import annotations
@@ -29,19 +30,11 @@ SALT_DISTURB = 0x4453
 
 TARGET_ID = 0
 
-# Below this many loss draws in a step (messages times n), `advance` draws one
-# at a time and, with no delay or jitter, delivers one at a time. The array
-# path costs about 80 numpy calls however few its draws, as much as 14 to 24
-# single draws and deliveries on a 2-vCPU Xeon with no delay; at n = 3 with
-# 50 ms delay and jitter, forcing it there doubled `advance` (65 -> 152 us/step).
-ARRAY_MIN_DRAWS = 20
-
-# One in-flight delivery of one message to one receiver.
-_DELIVERY = np.dtype([
-    ("arrival", np.float64), ("sender", np.int64), ("seq", np.int64), ("receiver", np.int64),
-    ("position", np.float64, (2,)), ("velocity", np.float64, (2,)), ("heading", np.float64),
-])
-_RECORD = np.dtype((np.void, _DELIVERY.itemsize))  # the same bytes without fields
+# Loss draws, (message, receiver) cells, a window of the plan holds on average (as many
+# mean steps as fit); a network whose mean step needs more is refused. The plan's memory
+# grows with it; 192 vehicles at 10 Hz and dt = 0.02 need 7,392 draws a step.
+PLAN_DRAWS = 8192
+_IN_FLIGHT = np.dtype([("arrival", float), ("sender", int), ("seq", int), ("receiver", int)])
 
 
 def _splitmix64(z: int) -> int:
@@ -107,6 +100,17 @@ class NetworkStats:
     dropped: int = 0
 
 
+def _last_rows(group, arrival):
+    """Each group's last row in (arrival, seq) order; rows sorted by group (>= 0), then seq."""
+    last = np.flatnonzero(np.diff(group, append=-1))
+    if len(last) == len(group):  # a row a group
+        return last
+    head = np.flatnonzero(np.diff(group, prepend=-1))
+    latest = np.repeat(np.maximum.reduceat(arrival, head), np.diff(head, append=len(group)))
+    best = np.flatnonzero(arrival == latest)
+    return best[np.diff(group[best], append=-1) != 0]
+
+
 class BroadcastNetwork:
     """Stateful broadcast medium plus every agent's last-received state.
 
@@ -115,202 +119,192 @@ class BroadcastNetwork:
     seed inside one period, and seq[s] counts the instants already passed,
     which makes it both the schedule and the message sequence number.
 
-    What agent k last received from sender s is row k - 1, column s of four
-    arrays: `pos` and `vel` (n, n+1, 2), the heading of that velocity
-    `heading` (n, n+1), and the arrival time `recv_t` (n, n+1), -inf while
-    nothing has arrived. Column 0 is the target; an agent's own column stays
-    empty.
+    What agent k last received from sender s is row k - 1, column s of `pos`
+    and `vel` (n, n+1, 2), the heading of that velocity `heading` and the
+    arrival time `recv_t` (n, n+1; -inf while nothing has arrived): four views
+    of one (n, n+1, 6) array. Column 0 is the target; an agent's own column
+    stays empty.
 
-    The engine initializes it from the first step's state and advances it at
-    the top of every later step, from that step's sample: every source whose
-    next send instant fell before the step's start emits a message carrying
-    the state at that instant, per-receiver loss and delay are drawn, and due
-    deliveries are stored. A step's (sender, seq, receiver) triples are drawn
-    in one call per purpose and its deliveries applied as arrays; below
-    ARRAY_MIN_DRAWS draws they are drawn one at a time, and with no delay or
-    jitter each survivor is delivered as it is drawn. Deliveries still in
-    flight are rows of the structured array `pending`.
+    The network runs on the grid t_m = m * dt, m < steps: the engine
+    initializes it from step 0's state and advances it to every later grid
+    time. An instant goes out at the first grid time after it, and a delivery
+    applies at the first grid time at or after its arrival. A plan holds, for a
+    window of steps, each message's step and the delivery each step keeps per
+    (receiver, sender) pair.
     """
 
-    def __init__(self, config: NetworkConfig, n_agents: int, seed: int):
-        self.config = config
-        self.n = n_agents
-        self.seed = seed
+    def __init__(self, config: NetworkConfig, n_agents: int, seed: int, dt: float, steps: int):
+        self.config, self.n, self.seed, self.dt, self.steps = config, n_agents, seed, dt, steps
         rate = np.full(n_agents + 1, config.agent_rate)
         rate[TARGET_ID] = config.target_rate
-        self.phase = np.array(
-            [counter_uniform(seed, SALT_PHASE, s) for s in range(n_agents + 1)]
-        ) / rate
+        self.phase = counter_uniform(seed, SALT_PHASE, np.arange(len(rate), dtype=np.uint64)) / rate
         self.period = 1.0 / rate
+        draws = n_agents * dt * rate.sum()  # loss draws of a mean step
+        if draws > PLAN_DRAWS:
+            raise MemoryError(f"cannot plan the broadcast traffic: {draws / n_agents:.3g} messages "
+                              f"a step to {n_agents} agents need more than {PLAN_DRAWS} loss draws")
+        self._window = int(min(steps, PLAN_DRAWS / draws))  # steps a plan spans
         self.seq = np.zeros(n_agents + 1, dtype=np.int64)
-        self._next_send = self.phase.copy()  # phase + seq * period
-        self.pos = np.zeros((n_agents, n_agents + 1, 2))
-        self.vel = np.zeros((n_agents, n_agents + 1, 2))
-        self.heading = np.zeros((n_agents, n_agents + 1))
-        self.recv_t = np.full((n_agents, n_agents + 1), -math.inf)
-        self._receivers = np.arange(1, n_agents + 1, dtype=np.uint64)
-        self.pending = np.empty(0, dtype=_DELIVERY)  # deliveries in flight, in no order
+        self._received = np.zeros((n_agents, n_agents + 1, 6))
+        self.pos, self.vel = self._received[..., 0:2], self._received[..., 2:4]
+        self.heading, self.recv_t = self._received[..., 4], self._received[..., 5]
+        self.recv_t[...] = -math.inf
         self.stats = NetworkStats()
+        self._step = 0  # the grid step the network is at
+        self._planned = np.zeros(n_agents + 1, dtype=np.int64)  # instants planned, per source
+        # The plan. Messages: sender, seq, step sent, receivers reached, states, live flags;
+        # deliveries in order: apply step, flat (receiver, sender) pair, message, arrival;
+        # `_kept`: the kept ones' positions; `_at`: each step's first message, delivery
+        # and kept delivery.
+        self._sender = self._seq = self._sent = self._reach = np.empty(0, dtype=int)
+        self._state, self._live, self._all_live = np.empty((0, 6)), np.empty(0, dtype=bool), True
+        self._due = self._pair = self._msg = self._arrival = self._seq
+        self._start, self._end, self._lag = 1, 1, 0  # the window is steps start..end - 1
+        self._at = np.zeros((1, 3), dtype=np.int64)
 
-    def deliver(self, receiver: int, sender: int, arrival: float, position, velocity,
-                heading: float | None = None):
-        """Store a delivery; an older arrival never overwrites a newer one.
-
-        `heading` is that of `velocity`, computed here when not given.
-        """
-        row = receiver - 1
-        if arrival < self.recv_t[row, sender]:
-            return
-        if heading is None:
-            heading = math.atan2(velocity[1], velocity[0])
-        self.pos[row, sender] = position
-        self.vel[row, sender] = velocity
-        self.heading[row, sender] = heading
-        self.recv_t[row, sender] = arrival
+    def deliver(self, receiver: int, sender: int, arrival: float, position, velocity, heading=None):
+        """Store a delivery unless a newer arrival is held; `heading` defaults to velocity's."""
+        if arrival >= self.recv_t[receiver - 1, sender]:
+            if heading is None:
+                heading = math.atan2(velocity[1], velocity[0])
+            self._received[receiver - 1, sender] = (*position, *velocity, heading, arrival)
 
     def initialize(self, positions, velocities, target_pos, target_vel):
         """Give every agent everyone's true state at t = 0, before any delivery."""
-        n = self.n
-        rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # every (receiver, other agent) pair
-        positions = np.asarray(positions, dtype=float)
-        velocities = np.asarray(velocities, dtype=float)
-        headings = np.array([math.atan2(vy, vx) for vx, vy in velocities.tolist()])
-        self.pos[rows, cols + 1] = positions[cols]
-        self.vel[rows, cols + 1] = velocities[cols]
-        self.heading[rows, cols + 1] = headings[cols]
-        self.recv_t[rows, cols + 1] = 0.0
+        rows, cols = np.nonzero(~np.eye(self.n, dtype=bool))  # every (receiver, other agent) pair
+        headings = [math.atan2(vy, vx) for vx, vy in np.asarray(velocities, dtype=float).tolist()]
+        states = np.column_stack((positions, velocities, headings, np.zeros(self.n)))
+        self._received[rows, cols + 1] = states[cols]
         if target_pos is not None:
-            self.pos[:, TARGET_ID] = target_pos
-            self.vel[:, TARGET_ID] = target_vel
-            self.heading[:, TARGET_ID] = math.atan2(target_vel[1], target_vel[0])
-            self.recv_t[:, TARGET_ID] = 0.0
+            heading = math.atan2(target_vel[1], target_vel[0])
+            self._received[:, TARGET_ID] = (*target_pos, *target_vel, heading, 0.0)
 
     def advance(self, t_new: float, positions, velocities, target_pos, target_vel):
-        """Send at every instant before t_new not yet passed, then apply due arrivals.
+        """Send the messages planned for t_new, the next grid time, then apply its deliveries.
 
-        Emitted messages carry the grid state at t_new (states only exist on
-        the step grid; the nominal instant determines whether a message goes
-        out, the grid supplies its content). A source above 1/dt sends more
-        than once in a step. The target's instants pass unsent while it has no
-        state. Of the arrivals due by t_new, each (receiver, sender) pair
-        keeps the last in (arrival, seq) order, unless it already holds a
-        newer arrival.
+        Messages carry the state at t_new; a source above 1/dt sends more than
+        once in a step, and the target's are dropped unsent while it has no
+        state. Of the arrivals due by t_new, each (receiver, sender) pair keeps
+        the last in (arrival, seq) order, unless it holds a newer arrival.
         """
-        next_send = self._next_send
-        due = np.flatnonzero(next_send < t_new)
-        if not due.size and not self.pending.size:
-            return
-        senders, seqs, states = [], [], []
-        while due.size:
-            for s in due.tolist():
-                seq = int(self.seq[s])
-                self.seq[s] = seq + 1
-                next_send[s] = self.phase[s] + (seq + 1) * self.period[s]
-                if s != TARGET_ID:
-                    position, velocity = positions[s - 1], velocities[s - 1]
-                elif target_pos is not None:
-                    position, velocity = target_pos, target_vel
-                else:
-                    continue
-                vx, vy = float(velocity[0]), float(velocity[1])
-                senders.append(s)
-                seqs.append(seq)
-                states.append((float(position[0]), float(position[1]), vx, vy, math.atan2(vy, vx)))
-            due = np.flatnonzero(next_send < t_new)
-        self.stats.sent += len(senders)
-        draw = self._draw_arrays if len(senders) * self.n >= ARRAY_MIN_DRAWS else self._draw_each
-        self._store(t_new, draw(t_new, senders, seqs, states))
+        m = self._step + 1
+        if not (m < self.steps and t_new == m * self.dt):
+            raise ValueError(f"t = {t_new!r} is not the next time of the network's grid "
+                             f"({self.steps} steps of {self.dt!r} s, at step {m - 1})")
+        self._step = m
+        if m == self._end:
+            self._plan(m)
+        (e0, r0, k0), (e1, r1, k1) = self._at[m - self._start:][:2].tolist()
+        if e0 < e1:
+            self._emit(e0, e1, positions, velocities, target_pos, target_vel)
+        if k0 < k1:
+            self._apply(r0, r1, k0, k1)
 
-    def _draw_each(self, t_new, senders, seqs, states):
-        """The step's deliveries, one scalar draw per purpose and receiver.
+    def _emit(self, e0, e1, positions, velocities, target_pos, target_vel):
+        """Write and count the states of messages e0..e1; the target's go unsent without one."""
+        stats, states = self.stats, []
+        positions = [target_pos] + np.asarray(positions, dtype=float).tolist()  # by source
+        velocities = [target_vel] + np.asarray(velocities, dtype=float).tolist()
+        messages = zip(*(a[e0:e1].tolist() for a in (self._sender, self._seq, self._reach)))
+        for i, (s, seq, reach) in enumerate(messages, e0):
+            self.seq[s] = seq + 1
+            if positions[s] is None:  # the target, without a state
+                self._live[i] = self._all_live = False
+                states.append((0.0,) * 5)
+                continue
+            (px, py), (vx, vy) = positions[s], velocities[s]
+            states.append((px, py, vx, vy, math.atan2(vy, vx)))
+            decisions = self.n - (s != TARGET_ID)
+            stats.sent += 1
+            stats.pair_decisions += decisions
+            stats.delivered += reach
+            stats.dropped += decisions - reach
+        self._state[e0:e1, :5] = states
 
-        With no delay or jitter nothing is in flight and one sender's messages
-        in a step carry the same state, so each survivor is delivered as it is
-        drawn; otherwise the survivors come back as a batch for `_store`.
-        """
-        cfg, seed, stats = self.config, self.seed, self.stats
-        undelayed = cfg.delay == 0.0 and cfg.jitter == 0.0
-        delayed = []
-        for s, seq, (px, py, vx, vy, heading) in zip(senders, seqs, states):
-            position, velocity = (px, py), (vx, vy)
-            for receiver in range(1, self.n + 1):
-                if receiver == s:
-                    continue
-                stats.pair_decisions += 1
-                if counter_uniform(seed, SALT_LOSS, s, seq, receiver) < cfg.loss_probability:
-                    stats.dropped += 1
-                    continue
-                stats.delivered += 1
-                if undelayed:
-                    self.deliver(receiver, s, t_new, position, velocity, heading)
-                    continue
-                delay = cfg.delay
-                if cfg.jitter > 0.0:
-                    delay += cfg.jitter * counter_uniform(seed, SALT_JITTER, s, seq, receiver)
-                delayed.append((t_new + delay, s, seq, receiver, position, velocity, heading))
-        return np.array(delayed, dtype=_DELIVERY)
+    def _apply(self, r0, r1, k0, k1):
+        """Apply the step's kept deliveries to the pairs that hold no newer arrival."""
+        if self._all_live:
+            kept = self._kept[k0:k1]
+        else:  # a dropped message may have been a pair's last delivery
+            live = r0 + np.flatnonzero(self._live[self._msg[r0:r1]])
+            kept = live[_last_rows(self._pair[live], self._arrival[live])]
+        pair, msg, arrival = self._pair[kept], self._msg[kept], self._arrival[kept]
+        received = self._received.reshape(-1, 6)
+        fresh = arrival >= received[pair, 5]
+        if not fresh.all():
+            pair, msg, arrival = pair[fresh], msg[fresh], arrival[fresh]
+        update = np.take(self._state, msg, axis=0)
+        update[:, 5] = arrival
+        received[pair] = update
 
-    def _draw_arrays(self, t_new, senders, seqs, states):
-        """The step's deliveries from one loss draw and one jitter draw.
+    def _plan(self, m0):
+        """Plan the window from step m0: its messages, their deliveries and those still to apply."""
+        n, cfg, origin, m1 = self.n, self.config, m0 - 1, min(self.steps, m0 + self._window)
+        # Grid times from step m0 - 1 to past the latest arrival of the window's messages.
+        lag = math.ceil((cfg.delay + cfg.jitter) / self.dt) + 2
+        grid = np.arange(origin, min(self.steps, m1 + lag)) * self.dt
+        # Each source's instants from its first unplanned one to one past the
+        # last before grid time m1 - 1; those sent before step m1 are the window's.
+        first, end = self._planned, grid[m1 - m0]
+        count = np.maximum(np.ceil((end - self.phase) / self.period).astype(int) + 1 - first, 0)
+        sender = np.repeat(np.arange(n + 1), count)
+        seq = np.arange(count.sum()) + np.repeat(first + count - np.cumsum(count), count)
+        step = origin + grid.searchsorted(self.phase[sender] + seq * self.period[sender], "right")
+        sent = np.flatnonzero(step < m1)
+        sent = np.sort(step[sent] * len(step) + sent) % len(step)  # by (step, sender, seq)
+        sender, seq, step = sender[sent], seq[sent], step[sent]
+        self._planned = first + np.bincount(sender, minlength=n + 1)
 
-        The loss draw spans the (message, receiver) grid, each sender's own
-        cell included and then dropped; the jitter draw spans the survivors.
-        """
-        cfg, stats = self.config, self.stats
-        src = np.array(senders, dtype=np.uint64)[:, None]
-        seq = np.array(seqs, dtype=np.uint64)[:, None]
-        receivers = self._receivers
-        lost = counter_uniform(self.seed, SALT_LOSS, src, seq, receivers) < cfg.loss_probability
-        others = receivers != src
-        msg, col = np.nonzero(others & ~lost)
-        decisions = int(np.count_nonzero(others))
-        stats.pair_decisions += decisions
-        stats.delivered += len(msg)
-        stats.dropped += decisions - len(msg)
-        src, seq, receiver = src[msg, 0], seq[msg, 0], receivers[col]
-        batch = np.empty(len(msg), dtype=_DELIVERY)
+        # The loss draw and the jitter draw span the (message, receiver) grid.
+        receivers = np.arange(1, n + 1, dtype=np.uint64)
+        ids = (sender.astype(np.uint64)[:, None], seq.astype(np.uint64)[:, None], receivers)
+        survives = counter_uniform(self.seed, SALT_LOSS, *ids) >= cfg.loss_probability
+        msg, col = np.nonzero((receivers != ids[0]) & survives)
+        delay = cfg.delay
         if cfg.jitter > 0.0:
-            draw = counter_uniform(self.seed, SALT_JITTER, src, seq, receiver)
-            batch["arrival"] = t_new + (cfg.delay + cfg.jitter * draw)
-        else:
-            batch["arrival"] = t_new + cfg.delay
-        batch["sender"], batch["seq"], batch["receiver"] = src, seq, receiver
-        state = np.array(states)[msg]
-        batch["position"], batch["velocity"], batch["heading"] = state[:, 0:2], state[:, 2:4], state[:, 4]
-        return batch
+            delay = cfg.delay + cfg.jitter * counter_uniform(self.seed, SALT_JITTER, *ids)[msg, col]
+        arrival = grid[step[msg] - origin] + delay
 
-    def _store(self, t_new, batch):
-        """Add a step's deliveries to those in flight and apply the due ones."""
-        pending = self.pending
-        if pending.size and batch.size:  # joined as raw records: numpy copies fields slowly
-            pending = np.concatenate((pending.view(_RECORD), batch.view(_RECORD))).view(_DELIVERY)
-        elif batch.size:
-            pending = batch
-        elif not pending.size:
-            return
-        is_due = pending["arrival"] <= t_new
-        if not is_due.any():
-            self.pending = pending
-            return
-        due = pending.take(np.flatnonzero(is_due))
-        self.pending = pending.take(np.flatnonzero(~is_due))
-        self._apply(due)
+        # The deliveries still to apply come first, each as a message of its own.
+        carried = np.arange(self._at[-1, 1], len(self._due))
+        if not self._all_live:
+            carried = carried[self._live[self._msg[carried]]]
+        old, c = self._msg[carried], len(carried)
+        reach = np.bincount(msg, minlength=len(seq))
+        prior = self._sender, self._seq, self._sent, self._reach
+        self._sender, self._seq, self._sent, self._reach = (
+            np.concatenate((a[old], b)) for a, b in zip(prior, (sender, seq, step, reach)))
+        self._state = np.concatenate((self._state[old], np.empty((len(seq), 6))))
+        self._live, self._all_live = np.ones(len(self._seq), dtype=bool), True
 
-    def _apply(self, batch):
-        """Deliver a batch as arrays: per pair the last in (arrival, seq) order."""
-        # Numpy leaves open which write wins for a repeated index: keep one per pair.
-        pair = (batch["receiver"] - 1) * (self.n + 1) + batch["sender"]  # flat (row, column)
-        order = np.lexsort((batch["seq"], batch["arrival"], pair))
-        pair = pair[order]
-        last = np.append(pair[1:] != pair[:-1], True)
-        batch, pair = batch.take(order[last]), pair[last]
-        recv_t = self.recv_t.reshape(-1)
-        fresh = np.flatnonzero(~(batch["arrival"] < recv_t[pair]))
-        batch, pair = batch.take(fresh), pair[fresh]
-        self.pos.reshape(-1, 2)[pair] = batch["position"]
-        self.vel.reshape(-1, 2)[pair] = batch["velocity"]
-        self.heading.reshape(-1)[pair] = batch["heading"]
-        recv_t[pair] = batch["arrival"]
+        # Order the deliveries by (due, pair), a pair's rows staying in seq order as
+        # they come, and keep each (due, pair)'s last row in (arrival, seq) order.
+        due = np.concatenate((self._due[carried], origin + grid.searchsorted(arrival, "left")))
+        pair = np.concatenate((self._pair[carried], col * (n + 1) + sender[msg]))
+        rows = len(due)
+        key = np.sort(((due - m0) * (n * (n + 1)) + pair) * rows + np.arange(rows))
+        group, order = np.divmod(key, rows)
+        self._msg = np.concatenate((np.arange(c), c + msg))[order]
+        self._arrival = np.concatenate((self._arrival[carried], arrival))[order]
+        self._due, self._pair = due[order], pair[order]
+        self._kept = _last_rows(group, self._arrival)
+        bounds = np.arange(m0, m1 + 1)
+        starts = [np.searchsorted(a, bounds) for a in (step, self._due, self._due[self._kept])]
+        self._at, self._start, self._end = np.column_stack((c + starts[0], *starts[1:])), m0, m1
+        self._lag = int((self._due - self._sent[self._msg]).max(initial=0))  # most steps in flight
+
+    @property
+    def pending(self) -> np.ndarray:
+        """The deliveries sent and not yet applied: (arrival, sender, seq, receiver) rows."""
+        r0, r1 = self._due.searchsorted([self._step + 1, self._step + 1 + self._lag])
+        if r0 == r1:  # as always without delay and jitter
+            return np.empty(0, dtype=_IN_FLIGHT)
+        msg = self._msg[r0:r1]
+        i = r0 + np.flatnonzero((self._sent[msg] <= self._step) & self._live[msg])
+        out, j = np.empty(len(i), dtype=_IN_FLIGHT), self._msg[i]
+        out["arrival"], out["sender"], out["seq"] = self._arrival[i], self._sender[j], self._seq[j]
+        out["receiver"] = self._pair[i] // (self.n + 1) + 1
+        return out
 
     def snapshot_for_agent(self, k: int, own_position, own_heading, t: float):
         """Agent k's view of the group as arrays: (headings, positions, stale).

@@ -159,16 +159,24 @@ def tracking_metrics(log) -> dict:
 class ScalarNetwork(BroadcastNetwork):
     """The broadcast network one message and one receiver at a time.
 
-    Every (sender, seq, receiver) triple takes its own scalar loss and jitter
-    draws, in-flight deliveries sit on a heap of (arrival, sender, seq,
-    receiver, message) tuples and pop in that order through `deliver`, and
-    `initialize` makes one `deliver` call per pair. Only the schedule, the
-    received-state arrays and `deliver` are shared with `BroadcastNetwork`.
+    It keeps its own send schedule (`_next_send`, phase + seq * period per
+    source) and emits every instant that has passed at each `advance`. Every
+    (sender, seq, receiver) triple takes its own scalar loss and jitter draws,
+    in-flight deliveries sit on a heap of (arrival, sender, seq, receiver,
+    message) tuples and pop in that order through `deliver`, and `initialize`
+    makes one `deliver` call per pair. Only the phases, the received-state
+    arrays and `deliver` are shared with `BroadcastNetwork`.
     """
 
-    def __init__(self, config, n_agents, seed):
-        super().__init__(config, n_agents, seed)
-        self.pending = []
+    def __init__(self, config, n_agents, seed, dt, steps):
+        super().__init__(config, n_agents, seed, dt, steps)
+        self._next_send = self.phase.copy()
+        self.in_flight = []
+
+    @property
+    def pending(self):
+        """The in-flight (arrival, sender, seq, receiver) tuples, sorted."""
+        return sorted(entry[:4] for entry in self.in_flight)
 
     def initialize(self, positions, velocities, target_pos, target_vel):
         for receiver in range(1, self.n + 1):
@@ -179,7 +187,7 @@ class ScalarNetwork(BroadcastNetwork):
             if target_pos is not None:
                 self.deliver(receiver, TARGET_ID, 0.0, target_pos, target_vel)
 
-    def _emit(self, sender, seq, stamp, position, velocity):
+    def _send(self, sender, seq, stamp, position, velocity):
         cfg, seed = self.config, self.seed
         vx, vy = float(velocity[0]), float(velocity[1])
         msg = ((float(position[0]), float(position[1])), (vx, vy), math.atan2(vy, vx))
@@ -195,7 +203,7 @@ class ScalarNetwork(BroadcastNetwork):
             delay = cfg.delay
             if cfg.jitter > 0.0:
                 delay += cfg.jitter * counter_uniform(seed, SALT_JITTER, sender, seq, receiver)
-            heapq.heappush(self.pending, (stamp + delay, sender, seq, receiver, msg))
+            heapq.heappush(self.in_flight, (stamp + delay, sender, seq, receiver, msg))
 
     def advance(self, t_new, positions, velocities, target_pos, target_vel):
         next_send = self._next_send
@@ -206,11 +214,11 @@ class ScalarNetwork(BroadcastNetwork):
                 self.seq[s] = seq + 1
                 next_send[s] = self.phase[s] + (seq + 1) * self.period[s]
                 if s != TARGET_ID:
-                    self._emit(s, seq, t_new, positions[s - 1], velocities[s - 1])
+                    self._send(s, seq, t_new, positions[s - 1], velocities[s - 1])
                 elif target_pos is not None:
-                    self._emit(s, seq, t_new, target_pos, target_vel)
+                    self._send(s, seq, t_new, target_pos, target_vel)
             due = np.flatnonzero(next_send < t_new)
-        pending = self.pending
-        while pending and pending[0][0] <= t_new:
-            arrival, sender, _, receiver, (position, velocity, heading) = heapq.heappop(pending)
+        in_flight = self.in_flight
+        while in_flight and in_flight[0][0] <= t_new:
+            arrival, sender, _, receiver, (position, velocity, heading) = heapq.heappop(in_flight)
             self.deliver(receiver, sender, arrival, position, velocity, heading)

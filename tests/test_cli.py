@@ -5,6 +5,7 @@ plot.gp column indices, exit codes, sweeps, and scenario overrides.
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_cli_run_parse_error_exits_1(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "error: broken.ini" in captured.err
+    assert captured.err.startswith(f"error: {scenario}: line ")
     assert "expected a number" in captured.err
     assert not (tmp_path / "out").exists()
 
@@ -310,6 +311,11 @@ def test_cli_run_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # a directory: named as it was given, "." included
+    for given in (".", str(tmp_path)):
+        rc = cli.main(["run", "--scenario", given, "--out", str(tmp_path / "dir")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {given}: [Errno 21]")
     # an --out that names an existing file
     scenario = tmp_path / "case.ini"
     scenario.write_text(SMALL, encoding="utf-8")
@@ -323,8 +329,21 @@ def test_cli_run_missing_file_exits_1(tmp_path, capsys):
         rc = cli.main([command, "--scenario", str(latin1), "--out", str(tmp_path / command)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith(f"error: {latin1}: 'utf-8' codec") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_cli_run_refuses_unplannable_broadcast_rate(tmp_path, capsys):
+    # 1e9 messages a second per agent: the network refuses to plan them
+    # before the first step, where sending them took about 25 minutes
+    scenario = tmp_path / "fast.ini"
+    scenario.write_text(SMALL + "\n[network]\nmode = broadcast\nagent_rate = 1e9\n", encoding="utf-8")
+    start = time.perf_counter()
+    rc = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cannot plan the broadcast traffic: 6e+07 messages a step to 3 agents")
 
 
 def test_cli_run_unallocatable_log_exits_1(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ScalarNetwork
+from swarmtrack import netsim
 from swarmtrack.netsim import (
-    ARRAY_MIN_DRAWS,
     SALT_PHASE,
     TARGET_ID,
     BroadcastNetwork,
@@ -18,11 +18,11 @@ from swarmtrack.netsim import (
 )
 
 
-def advance_steps(net, steps, dt):
-    """Drive a network over `steps` steps of length dt with every state at rest."""
+def advance_steps(net, steps):
+    """Drive a network over `steps` steps of its grid with every state at rest."""
     pos, vel = np.zeros((net.n, 2)), np.zeros((net.n, 2))
     for m in range(steps):
-        net.advance((m + 1) * dt, pos, vel, None, None)
+        net.advance((m + 1) * net.dt, pos, vel, None, None)
 
 
 # --------------------------------------------------------------------------
@@ -75,8 +75,8 @@ def test_counter_uniform_refuses_int64_keys():
 def test_emission_counts_over_one_second():
     cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0)
     n = 3
-    net = BroadcastNetwork(cfg, n, seed=12)
-    advance_steps(net, 100, 0.01)
+    net = BroadcastNetwork(cfg, n, seed=12, dt=0.01, steps=101)
+    advance_steps(net, 100)
     # seq counts every send instant, the target's too when it has no state to send
     for a in range(1, n + 1):
         assert net.seq[a] == 10
@@ -86,16 +86,16 @@ def test_emission_counts_over_one_second():
 
 def test_target_rate_over_two_seconds():
     cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0)
-    net = BroadcastNetwork(cfg, 1, seed=99)
-    advance_steps(net, 100, 0.02)
+    net = BroadcastNetwork(cfg, 1, seed=99, dt=0.02, steps=101)
+    advance_steps(net, 100)
     assert net.seq[TARGET_ID] == 10
 
 
 def test_schedule_is_deterministic():
     cfg = NetworkConfig(loss_probability=0.3, jitter=0.05)
-    a, b = BroadcastNetwork(cfg, 4, seed=5), BroadcastNetwork(cfg, 4, seed=5)
-    advance_steps(a, 4, 0.1)
-    advance_steps(b, 4, 0.1)
+    a, b = (BroadcastNetwork(cfg, 4, seed=5, dt=0.1, steps=5) for _ in range(2))
+    advance_steps(a, 4)
+    advance_steps(b, 4)
     assert a.stats.sent > 0
     assert np.array_equal(a.seq, b.seq) and a.stats == b.stats
     in_flight = ["arrival", "sender", "seq", "receiver"]
@@ -105,7 +105,7 @@ def test_schedule_is_deterministic():
 
 def test_phases_lie_inside_one_period():
     cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0)
-    net = BroadcastNetwork(cfg, 6, seed=31)
+    net = BroadcastNetwork(cfg, 6, seed=31, dt=0.01, steps=1)
     assert net.period[TARGET_ID] == 1.0 / cfg.target_rate
     assert (net.period[1:] == 1.0 / cfg.agent_rate).all()
     assert ((0.0 <= net.phase) & (net.phase < net.period)).all()
@@ -126,7 +126,8 @@ def test_send_counter_counts_every_instant_passed(rates, dt, steps, seed):
     # over contiguous steps from t = 0, each source has sent once per instant
     # phase + j * period below the step's end, however many fall in one step
     agent_rate, target_rate = rates
-    net = BroadcastNetwork(NetworkConfig(agent_rate=agent_rate, target_rate=target_rate), 2, seed)
+    config = NetworkConfig(agent_rate=agent_rate, target_rate=target_rate)
+    net = BroadcastNetwork(config, 2, seed, dt, steps + 1)
     pos, vel = np.zeros((2, 2)), np.zeros((2, 2))
     for m in range(steps):
         t = (m + 1) * dt
@@ -136,6 +137,24 @@ def test_send_counter_counts_every_instant_passed(rates, dt, steps, seed):
             expected = sum(1 for j in range(int(t / period) + 2) if phase + j * period < t)
             assert net.seq[s] == expected
     assert net.stats.sent == int(net.seq.sum())
+
+
+def test_advance_refuses_a_time_off_the_grid():
+    net = BroadcastNetwork(NetworkConfig(), 2, seed=1, dt=0.02, steps=3)
+    pos, vel = np.zeros((2, 2)), np.zeros((2, 2))
+    for t in (0.0, 0.03, 2 * 0.02):  # the start, between grid times, a step ahead
+        with pytest.raises(ValueError, match="next time of the network's grid"):
+            net.advance(t, pos, vel, None, None)
+    net.advance(0.02, pos, vel, None, None)
+    net.advance(2 * 0.02, pos, vel, None, None)
+    with pytest.raises(ValueError, match="3 steps"):  # past the last grid time
+        net.advance(3 * 0.02, pos, vel, None, None)
+
+
+def test_network_refuses_traffic_it_cannot_plan():
+    # a mean step of 3 * 0.02 * (3e9 + 5) loss draws is over any window's budget
+    with pytest.raises(MemoryError, match="6e\\+07 messages a step to 3 agents"):
+        BroadcastNetwork(NetworkConfig(agent_rate=1e9), 3, seed=1, dt=0.02, steps=10)
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +199,7 @@ def filled(net, owner):
 
 
 def test_table_never_rolls_back():
-    net = BroadcastNetwork(NetworkConfig(), 2, seed=0)
+    net = BroadcastNetwork(NetworkConfig(), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 1.0, (1.0, 1.0), (1.0, 0.0))
     net.deliver(1, 2, 0.5, (9.0, 9.0), (0.0, 1.0))  # late arrival of the older message
     np.testing.assert_allclose(net.pos[0, 2], [1.0, 1.0])
@@ -200,7 +219,7 @@ def _drive(net, n, dt, steps, x0, vel, tgt0=None, tvel=None):
 
 def test_initialize_fills_tables():
     cfg = NetworkConfig()
-    net = BroadcastNetwork(cfg, 3, seed=3)
+    net = BroadcastNetwork(cfg, 3, seed=3, dt=0.01, steps=1)
     pos = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     vel = np.array([[1.0, 0.0]] * 3)
     net.initialize(pos, vel, np.array([50.0, 0.0]), np.array([2.0, 0.0]))
@@ -217,11 +236,11 @@ def test_initialize_fills_tables():
 def test_lossless_zero_delay_tables_track_truth():
     cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=0.0, delay=0.0)
     n = 2
-    net = BroadcastNetwork(cfg, n, seed=8)
+    dt, steps = 0.01, 200
+    net = BroadcastNetwork(cfg, n, seed=8, dt=dt, steps=steps + 1)
     x0 = np.array([[0.0, 0.0], [100.0, 0.0]])
     vel = np.array([[3.0, 0.0], [0.0, -2.0]])
     net.initialize(x0, vel, None, None)
-    dt, steps = 0.01, 200
     for m in range(steps):
         t_next = (m + 1) * dt
         net.advance(t_next, x0 + vel * t_next, vel, None, None)
@@ -240,7 +259,7 @@ def test_lossless_zero_delay_tables_track_truth():
 def test_total_loss_freezes_tables():
     cfg = NetworkConfig(loss_probability=1.0 - 1e-12)
     n = 3
-    net = BroadcastNetwork(cfg, n, seed=21)
+    net = BroadcastNetwork(cfg, n, seed=21, dt=0.01, steps=501)
     x0 = np.zeros((n, 2))
     vel = np.array([[1.0, 0.0]] * n)
     net.initialize(x0, vel, None, None)
@@ -255,7 +274,7 @@ def test_delivered_count_matches_binomial():
     loss = 0.1
     cfg = NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=loss)
     n = 3
-    net = BroadcastNetwork(cfg, n, seed=1234)
+    net = BroadcastNetwork(cfg, n, seed=1234, dt=0.01, steps=6001)
     x0 = np.zeros((n, 2))
     vel = np.array([[1.0, 0.0]] * n)
     net.initialize(x0, vel, np.zeros(2), np.ones(2))
@@ -271,11 +290,11 @@ def test_delivered_count_matches_binomial():
 def test_delayed_messages_arrive_later():
     cfg = NetworkConfig(agent_rate=10.0, delay=0.35)
     n = 2
-    net = BroadcastNetwork(cfg, n, seed=6)
+    dt = 0.01
+    net = BroadcastNetwork(cfg, n, seed=6, dt=dt, steps=61)
     x0 = np.array([[0.0, 0.0], [10.0, 0.0]])
     vel = np.array([[1.0, 0.0], [1.0, 0.0]])
     net.initialize(x0, vel, None, None)
-    dt = 0.01
     # run 0.2 s: everything emitted so far is still in flight
     for m in range(20):
         net.advance((m + 1) * dt, x0 + vel * (m + 1) * dt, vel, None, None)
@@ -294,7 +313,7 @@ def test_delayed_messages_arrive_later():
 
 def test_snapshot_own_state_is_truth():
     cfg = NetworkConfig()
-    net = BroadcastNetwork(cfg, 2, seed=2)
+    net = BroadcastNetwork(cfg, 2, seed=2, dt=0.01, steps=1)
     net.initialize(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 2.0]]), None, None)
     headings, positions, stale = net.snapshot_for_agent(1, own_position=(7.0, 8.0),
                                                         own_heading=0.5, t=0.0)
@@ -306,19 +325,19 @@ def test_snapshot_own_state_is_truth():
 
 
 def test_snapshot_extrapolates_constant_velocity_sender():
-    net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2, seed=0)
+    net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
     np.testing.assert_allclose(positions[1], [10.0 + 3.0 * 1.5, 4.0 * 1.5], atol=1e-12)
     # without extrapolation: last received position as-is
-    net = BroadcastNetwork(NetworkConfig(), 2, seed=0)
+    net = BroadcastNetwork(NetworkConfig(), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
     np.testing.assert_allclose(positions[1], [10.0, 0.0])
 
 
 def test_snapshot_staleness_flag():
-    net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2, seed=0)
+    net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 0.0, (1.0, 1.0), (1.0, 0.0))
     _, _, stale = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.0)
     assert stale[1] and not stale[0]
@@ -328,14 +347,14 @@ def test_snapshot_staleness_flag():
 
 def test_target_estimate():
     cfg = NetworkConfig(extrapolate=True, staleness_budget=0.5)
-    net = BroadcastNetwork(cfg, 2, seed=4)
+    net = BroadcastNetwork(cfg, 2, seed=4, dt=0.01, steps=1)
     net.initialize(np.zeros((2, 2)), np.ones((2, 2)), np.array([5.0, 0.0]), np.array([2.0, 0.0]))
     pos, vel, stale = net.target_estimate(1, t=1.0)
     np.testing.assert_allclose(pos, [7.0, 0.0])  # extrapolated from t=0
     np.testing.assert_allclose(vel, [2.0, 0.0])
     assert stale  # older than the 0.5 s budget
 
-    net_no_tgt = BroadcastNetwork(cfg, 2, seed=4)
+    net_no_tgt = BroadcastNetwork(cfg, 2, seed=4, dt=0.01, steps=1)
     net_no_tgt.initialize(np.zeros((2, 2)), np.ones((2, 2)), None, None)
     pos, vel, stale = net_no_tgt.target_estimate(1, t=0.0)
     assert pos is None and vel is None and not stale
@@ -373,7 +392,7 @@ def delivery_runs(draw):
 @settings(max_examples=200, deadline=None)
 def test_views_match_last_accepted_oracle(run):
     n, with_target, deliveries, config, init, t = run
-    net = BroadcastNetwork(config, n, seed=0)
+    net = BroadcastNetwork(config, n, seed=0, dt=0.01, steps=1)
     tpos, tvel = init[0] if with_target else (None, None)
     net.initialize([p for p, _ in init[1:]], [v for _, v in init[1:]], tpos, tvel)
 
@@ -430,7 +449,7 @@ def assert_same_network(net, ref):
     for name in ("pos", "vel", "heading", "recv_t", "seq"):
         assert np.array_equal(getattr(net, name), getattr(ref, name)), name
     assert net.stats == ref.stats
-    assert len(net.pending) == len(ref.pending)
+    assert sorted(net.pending.tolist()) == ref.pending  # (arrival, sender, seq, receiver) rows
 
 
 def run_both(config, n, seed, states, targets, dt, early=()):
@@ -440,7 +459,7 @@ def run_both(config, n, seed, states, targets, dt, early=()):
     state to receiver before step m, stamped `ahead` seconds after it, so
     that in-flight arrivals older than the stored one must not overwrite it.
     """
-    net, ref = BroadcastNetwork(config, n, seed), ScalarNetwork(config, n, seed)
+    net, ref = (cls(config, n, seed, dt, len(states)) for cls in (BroadcastNetwork, ScalarNetwork))
     for m, ((pos, vel), target) in enumerate(zip(states, targets)):
         tpos, tvel = target if target is not None else (None, None)
         for network in (net, ref):
@@ -488,22 +507,50 @@ def network_runs(draw):
 @given(network_runs())
 @settings(max_examples=80, deadline=None)
 def test_network_matches_message_by_message_network(run):
-    # n from 1 to 10 puts a step's draws on both sides of ARRAY_MIN_DRAWS
     run_both(*run)
+
+
+@given(network_runs(), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_network_matches_across_plan_windows(run, spare):
+    # a budget a few draws above a mean step's plans a few steps a window
+    config, n, _, _, _, dt, _ = run
+    draws = n * dt * (n * config.agent_rate + config.target_rate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netsim, "PLAN_DRAWS", math.ceil(draws) + spare)
+        run_both(*run)
+
+
+@pytest.mark.parametrize("target", ["absent", "present", "intermittent"])
+def test_deliveries_carry_across_plan_windows(monkeypatch, target):
+    # 40 draws plan one step of 21 at a time, and deliveries arrive 2.5 to 5
+    # steps after they are sent: they carry across several windows
+    monkeypatch.setattr(netsim, "PLAN_DRAWS", 40)
+    n, dt, steps = 10, 0.02, 120
+    config = NetworkConfig(agent_rate=10.0, target_rate=5.0, loss_probability=0.1,
+                           delay=0.05, jitter=0.05)
+    rng = np.random.default_rng(3)
+    states = [(rng.uniform(-50, 50, (n, 2)), rng.uniform(-5, 5, (n, 2))) for _ in range(steps)]
+    targets = [
+        (rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2))
+        if target == "present" or (target == "intermittent" and rng.random() < 0.5) else None
+        for _ in range(steps)
+    ]
+    net = run_both(config, n, 29, states, targets, dt)
+    assert net._window == 1 and net.stats.delivered > 0
 
 
 @pytest.mark.parametrize("n", [1, 10])
 @pytest.mark.parametrize("delay", [0.0, 0.03])
 def test_one_senders_messages_tie_at_one_receiver(n, delay):
     # the target sends 2 or 3 times a step: those messages reach each receiver
-    # at one arrival time, with n = 1 in per-draw steps and n = 10 in array steps
+    # at one arrival time
     dt = 0.02
     config = NetworkConfig(agent_rate=1.0, target_rate=2.5 / dt, delay=delay)
     rng = np.random.default_rng(n)
     states = [(rng.uniform(-50, 50, (n, 2)), rng.uniform(-5, 5, (n, 2))) for _ in range(12)]
     targets = [(rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2)) for _ in range(12)]
     net = run_both(config, n, 11, states[:2], targets[:2], dt)
-    assert (net.stats.sent * n < ARRAY_MIN_DRAWS) == (n == 1)
     if delay:
         to_first = net.pending[(net.pending["sender"] == TARGET_ID) & (net.pending["receiver"] == 1)]
         assert len(to_first) >= 2 and len(set(to_first["arrival"].tolist())) == 1
