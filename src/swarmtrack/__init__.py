@@ -36,6 +36,7 @@ from .engine import (
     TargetTracking,
     TurningRef,
     run,
+    run_batch,
     run_oracle_centroid,
 )
 from .netsim import BroadcastNetwork, NetworkConfig, counter_uniform
@@ -85,6 +86,7 @@ __all__ = [
     "perturbation_oracle",
     "rk4_unicycle_arrays",
     "run",
+    "run_batch",
     "run_oracle_centroid",
     "simulate_phase_flow",
     "target_state",

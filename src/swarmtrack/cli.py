@@ -38,7 +38,8 @@ from .analysis import (
     classify_equilibrium,
     perturbation_oracle,
 )
-from .engine import AGENT, RECORD_FIELDS, RunLog, ScenarioConfig, SimulationAborted, run
+from .engine import (AGENT, RECORD_FIELDS, RunLog, ScenarioConfig, SimulationAborted, batch_key,
+                     log_bytes, run, run_batch)
 from .scenario import ScenarioError, override_scenario_text, parse_scenario_text
 
 _FLOAT_FMT = "%.17g"  # shortest-guaranteed round trip for binary64
@@ -287,10 +288,17 @@ def _run_case(config: ScenarioConfig, out_dir) -> tuple[str, dict | None]:
     is "ok", "aborted: <why> (partial artifacts in <out_dir>)", or "error: <why>" with
     no summary when the log cannot be allocated or the artifacts cannot be written."""
     try:
-        try:
-            log = run(config)
-        except SimulationAborted as exc:
-            log = exc.log
+        log = run(config)
+    except SimulationAborted as exc:
+        log = exc.log
+    except MemoryError as exc:
+        return f"error: {exc}", None
+    return _write_case(log, config, out_dir)
+
+
+def _write_case(log: RunLog, config: ScenarioConfig, out_dir) -> tuple[str, dict | None]:
+    """Write a run's artifacts to out_dir: the (status, summary) of `_run_case`."""
+    try:
         summary = write_artifacts(log, out_dir, config)
     except (MemoryError, OSError) as exc:
         return f"error: {exc}", None
@@ -315,35 +323,66 @@ def _parse_sweep_param(spec: str):
     return section.strip().lower(), key.strip().lower(), values
 
 
-def _run_sweep_case(job):
-    """Parse, run and write one sweep case: (index, status, metrics of an "ok" case);
-    module-level so process pools can pickle it."""
-    index, text, out_dir, seed = job
+# Most log bytes one sweep batch holds at once. Same-shape cases run in lock
+# step up to this size; a case whose log alone is larger runs by itself.
+BATCH_LOG_BYTES = 8 * 2**20
+
+_SWEEP_METRICS = ("final_V", "beta_mean_after_transient", "beta_max_after_transient",
+                 "max_dist_after_transient", "delivered_ratio")
+
+
+def _run_sweep_case(batch):
+    """Run one batch of same-shape sweep cases in lock step and write each case's
+    artifacts: one (index, status, metrics of an "ok" case) per case. batch is a
+    list of (index, config, out_dir). A batch that cannot be set up (its logs or
+    a network plan too large) runs again one case at a time, so that the error
+    is its failing case's alone. Module-level so process pools can pickle it."""
     try:
-        config = parse_scenario_text(text, seed_override=seed)
-    except ValueError as exc:
-        return index, f"error: {exc}", {}
-    status, summary = _run_case(config, out_dir)
-    if status != "ok":
-        return index, status, {}
-    m = summary["metrics"]
-    return index, status, {
-        "final_V": m["final_V"],
-        "beta_mean_after_transient": m["beta"]["mean_after_transient"],
-        "beta_max_after_transient": m["beta"]["max_after_transient"],
-        "max_dist_after_transient": m["spacing"]["max_dist_after_transient"],
-        "delivered_ratio": m["network"]["delivered_ratio"],
-    }
+        logs = run_batch([config for _, config, _ in batch])
+    except MemoryError as exc:
+        if len(batch) > 1:
+            return [row for job in batch for row in _run_sweep_case([job])]
+        return [(batch[0][0], f"error: {exc}", {})]
+    rows = []
+    for (index, config, out_dir), log in zip(batch, logs):
+        status, summary = _write_case(log, config, out_dir)
+        metrics = {}
+        if status == "ok":
+            m = summary["metrics"]
+            metrics = dict(zip(_SWEEP_METRICS, (
+                m["final_V"], m["beta"]["mean_after_transient"], m["beta"]["max_after_transient"],
+                m["spacing"]["max_dist_after_transient"], m["network"]["delivered_ratio"])))
+        rows.append((index, status, metrics))
+    return rows
+
+
+def _sweep_batches(jobs, workers: int) -> list[list]:
+    """The (index, config, out_dir) jobs as batches for `_run_sweep_case`: the
+    cases of one `engine.batch_key` split into balanced batches, as few as
+    BATCH_LOG_BYTES allows but at least one per worker."""
+    groups = {}
+    for job in jobs:
+        groups.setdefault(batch_key(job[1]), []).append(job)
+    batches = []
+    for group in groups.values():
+        per_batch = max(1, BATCH_LOG_BYTES // log_bytes(group[0][1]))
+        count = max(-(-len(group) // per_batch), min(workers, len(group)))
+        bounds = [len(group) * i // count for i in range(count + 1)]
+        batches += [group[a:b] for a, b in zip(bounds, bounds[1:])]
+    return batches
 
 
 def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> list[dict]:
     """Cross-product sweep. Each case writes artifacts under out/case_XXX and
     one row into out/sweep.csv; case i runs at seed base_seed + i.
 
-    Every case's text is built before any case runs, so a parameter that
-    `override_scenario_text` refuses, `sim.seed`, or a SECTION.KEY given
-    twice raises ScenarioError with nothing written. A case that fails to
-    parse, aborts or cannot be written is recorded in its row, not fatal.
+    Every case's text is built and parsed before any case runs, so a
+    parameter that `override_scenario_text` refuses, `sim.seed`, or a
+    SECTION.KEY given twice raises ScenarioError with nothing written. The
+    cases that share an `engine.batch_key` run in lock step,
+    in batches of at most BATCH_LOG_BYTES of logs; `parallel` worker
+    processes share the batches. A case that fails to parse, aborts or cannot
+    be written is recorded in its row, not fatal.
     """
     param_names = [f"{section}.{key}" for section, key, _ in params]
     for name in param_names:
@@ -353,31 +392,37 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
         raise ScenarioError("sweeping sim.seed is not supported (case i runs at the base seed + i)")
     out = Path(out_dir)
     cases = list(itertools.product(*(values for *_, values in params))) if params else []
-    jobs = []
+    results, jobs = {}, []
     for i, case in enumerate(cases):
         case_text = text
         for (section, key, _), value in zip(params, case):
             case_text = override_scenario_text(case_text, section, key, value)
-        jobs.append((i, case_text, str(out / f"case_{i:03d}"), base_seed + i))
+        try:
+            config = parse_scenario_text(case_text, seed_override=base_seed + i)
+        except ValueError as exc:
+            results[i] = (f"error: {exc}", {})
+            continue
+        jobs.append((i, config, str(out / f"case_{i:03d}")))
     out.mkdir(parents=True, exist_ok=True)
+    batches = _sweep_batches(jobs, parallel)
     if parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_sweep_case, jobs))
+            done = list(pool.map(_run_sweep_case, batches))
     else:
-        results = [_run_sweep_case(job) for job in jobs]
+        done = [_run_sweep_case(batch) for batch in batches]
+    results.update((index, (status, metrics)) for batch in done for index, status, metrics in batch)
 
-    metric_names = ["final_V", "beta_mean_after_transient", "beta_max_after_transient",
-                    "max_dist_after_transient", "delivered_ratio"]
     rows = []
-    for (index, status, metrics), case in zip(results, cases):
-        row = {"case": index, "seed": base_seed + index, "status": status}
+    for i, case in enumerate(cases):
+        status, metrics = results[i]
+        row = {"case": i, "seed": base_seed + i, "status": status}
         row.update(zip(param_names, case))
-        for name in metric_names:
+        for name in _SWEEP_METRICS:
             row[name] = metrics.get(name)
         rows.append(row)
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        header = ["case", "seed"] + param_names + metric_names + ["status"]
+        header = ["case", "seed"] + param_names + list(_SWEEP_METRICS) + ["status"]
         # csv quotes a cell that holds a comma and writes None as an empty cell
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

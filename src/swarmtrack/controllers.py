@@ -16,7 +16,10 @@ Three stacked terms per agent, each a pure function of a view of the group
   on the point instead of trailing it (see `beacon_lead`).
 
 `control_terms` evaluates all three for every agent of a view at once, with
-one solve of the 2 x 2 Gram system A A^T for both h and the projection.
+one solve of the 2 x 2 Gram system A A^T for both h and the projection. It
+takes a leading batch axis for B views at once (`BatchGains`,
+`reference.stack_signals`): one view solves the 2 x 2 system in Python floats,
+a batch solves all its views as arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,14 +63,25 @@ class ControllerGains:
             raise ValueError(f"u_max must be positive when set, got {self.u_max}")
 
 
-def _A(vc: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """2 x n matrix with column k = (1/n) * i v_k e^{i th_k}, from the
-    heading-vector components vc = v cos th and vs = v sin th.
+class BatchGains(NamedTuple):
+    """The gains of a batch of views, one row per view, as `control_terms` reads
+    them: gamma and omega0 as (B, 1) columns and feedforward as a (B,) flag.
+    Every row shares the spacing mode."""
 
-    A maps stacked heading rates to the induced centroid acceleration, so the
-    feedforward condition is A h = b.
-    """
-    return np.array([-vs, vc]) / len(vc)
+    gamma: np.ndarray
+    omega0: np.ndarray
+    spacing_mode: SpacingMode
+    feedforward: np.ndarray
+
+    @classmethod
+    def of(cls, gains) -> "BatchGains":
+        """The rows of a sequence of ControllerGains; ValueError if their spacing modes differ."""
+        modes = {g.spacing_mode for g in gains}
+        if len(modes) != 1:
+            raise ValueError("a batch shares one spacing mode, "
+                             f"got {sorted(m.value for m in modes)}")
+        return cls(np.array([[g.gamma] for g in gains]), np.array([[g.omega0] for g in gains]),
+                   modes.pop(), np.array([g.feedforward for g in gains]))
 
 
 def _gram_solve(A: np.ndarray, *rhs):
@@ -90,6 +105,29 @@ def _gram_solve(A: np.ndarray, *rhs):
             for r in rhs]
 
 
+def _gram_solve_rows(A: np.ndarray, *rhs):
+    """`_gram_solve` for a stack of B views, A of shape (2, B, n) and each r of
+    shape (B, 2): (the (B,) mask of rows of rank 2, one (B, 2) x per r). The
+    x rows of a view below rank 2 are finite and meaningless.
+
+    The entries come from batched matmuls, the forms that give the same bits
+    as the BLAS dot products of the one-view solve.
+    """
+    a0, a1 = A[0][:, None, :], A[1][:, None, :]
+    g11 = (a0 @ A[0][:, :, None])[:, 0, 0]
+    g12 = (a0 @ A[1][:, :, None])[:, 0, 0]
+    g22 = (a1 @ A[1][:, :, None])[:, 0, 0]
+    tr = g11 + g22
+    det = g11 * g22 - g12 * g12
+    disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 * g12, 0.0))
+    smin = np.sqrt(np.maximum(0.5 * (tr - disc), 0.0))
+    smax = np.sqrt(np.maximum(0.5 * (tr + disc), 0.0))
+    ok = ~(smin <= 1e-8 * np.maximum(1.0, smax))
+    det = np.where(ok, det, 1.0)
+    return ok, [np.stack(((g22 * r[:, 0] - g12 * r[:, 1]) / det,
+                          (g11 * r[:, 1] - g12 * r[:, 0]) / det), axis=1) for r in rhs]
+
+
 def beacon_lead(speeds, gamma: float):
     """Time lead 2 / (gamma v_k^2) of each vehicle's beacon, in seconds.
 
@@ -104,7 +142,7 @@ def beacon_lead(speeds, gamma: float):
     return (2.0 / gamma) / (speeds * speeds)
 
 
-def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
+def control_terms(speeds, headings, positions, ref, gains):
     """(u_vel, h, u_spc): the three control terms for every agent of a view, as arrays.
 
     speeds and headings are (n,) arrays and positions an (n, 2) array; ref is
@@ -112,6 +150,15 @@ def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
     `reference.reference_signal`. The heading trig, the centroid velocity and
     A are computed once and shared, and one Gram solve of A A^T serves both h
     and the projection. The total command is u_vel + h + u_spc.
+
+    A batch of B views takes a leading axis: (B, n) speeds and headings,
+    (B, n, 2) positions, the `reference.stack_signals` tuple of the B
+    references and the `BatchGains` of the B views, and gives (B, n) terms,
+    each row equal bit for bit to its view's own call. The formulas below are
+    written once over that axis. Only the 2 x 2 Gram solve picks its form
+    from the shape: one view solves in Python floats, which costs half as
+    much as the array form on a lone view, and a batch solves every view at
+    once as arrays.
 
     * u_vel_k = -gamma * < rhat_dot - ref_velocity, i v_k e^{i th_k} >, the
       gradient flow of V = 0.5 ||rhat_dot - ref_velocity||^2, which yields
@@ -128,38 +175,59 @@ def control_terms(speeds, headings, positions, ref, gains: ControllerGains):
       point, also while the point moves at beacon_velocity. BEACON_PROJECTED
       mode projects it into ker(A), or leaves it where A has rank below 2.
     """
-    ref_position, ref_velocity, rhs, beacon_velocity = ref
-    n = len(speeds)
+    ref_position, ref_velocity, rhs, beacon_velocity = ref[:4]
+    gamma, omega0, mode = gains.gamma, gains.omega0, gains.spacing_mode
+    batch = speeds.ndim > 1
+    if batch:  # each view's reference entries as columns against its (n,) row
+        ref_position = ref_position[:, None]
+        ref_velocity = ref_velocity.T[..., None]
+        if beacon_velocity is not None:
+            beacon_velocity = beacon_velocity[:, None]
+    n = speeds.shape[-1]
     c = np.cos(headings)
     s = np.sin(headings)
     vc = speeds * c
     vs = speeds * s
-    ex = vc.sum() / n - ref_velocity[0]
-    ey = vs.sum() / n - ref_velocity[1]
-    u_vel = -gains.gamma * ((-ex * speeds) * s + (ey * speeds) * c)
+    ref_vx, ref_vy = ref_velocity
+    ex = vc.sum(axis=-1, keepdims=batch) / n - ref_vx
+    ey = vs.sum(axis=-1, keepdims=batch) / n - ref_vy
+    u_vel = -gamma * ((-ex * speeds) * s + (ey * speeds) * c)
 
-    mode = gains.spacing_mode
     if mode is SpacingMode.OFF:
-        u_spc = np.zeros(n)
+        u_spc = np.zeros(speeds.shape)
     else:
         rel = positions - ref_position
         if beacon_velocity is not None:
-            rel -= beacon_lead(speeds, gains.gamma)[:, None] * beacon_velocity
-        inner = rel[:, 0] * vc + rel[:, 1] * vs
-        u_spc = -(gains.omega0 + gains.gamma * gains.omega0 * inner)
+            rel -= beacon_lead(speeds, gamma)[..., None] * beacon_velocity
+        inner = rel[..., 0] * vc + rel[..., 1] * vs
+        u_spc = -(omega0 + gamma * omega0 * inner)
 
     # One Gram solve serves both right-hand sides: the feedforward rhs and A u_spc.
-    rhs_ff = [rhs] if gains.feedforward and rhs is not None else []
     projected = mode is SpacingMode.BEACON_PROJECTED
-    h = None
-    if rhs_ff or projected:
-        A = _A(vc, vs)
-        x = _gram_solve(A, *rhs_ff, A @ u_spc) if projected else _gram_solve(A, *rhs_ff)
-        if x is not None:
-            if rhs_ff:
-                h = A.T @ x[0]
-            if projected:
-                u_spc = u_spc - A.T @ x[-1]
-    if h is None:
-        h = np.zeros(n)
+    if not batch:
+        rhs_ff = [rhs] if gains.feedforward and rhs is not None else []
+        h = None
+        if rhs_ff or projected:
+            A = np.array([-vs, vc]) / n
+            x = _gram_solve(A, *rhs_ff, A @ u_spc) if projected else _gram_solve(A, *rhs_ff)
+            if x is not None:
+                if rhs_ff:
+                    h = A.T @ x[0]
+                if projected:
+                    u_spc = u_spc - A.T @ x[-1]
+        return u_vel, np.zeros(n) if h is None else h, u_spc
+
+    ff = gains.feedforward & ref[4] if rhs is not None else np.zeros(len(speeds), bool)
+    h = np.zeros(speeds.shape)
+    if ff.any() or projected:
+        A = np.array([-vs, vc]) / n  # (2, B, n)
+        At = A.transpose(1, 2, 0)
+        rhs_ff = [rhs] if ff.any() else []
+        if projected:
+            rhs_ff.append((A.transpose(1, 0, 2) @ u_spc[:, :, None])[:, :, 0])
+        ok, x = _gram_solve_rows(A, *rhs_ff)
+        if ff.any():
+            h = np.where((ok & ff)[:, None], (At @ x[0][:, :, None])[:, :, 0], 0.0)
+        if projected:
+            u_spc = np.where(ok[:, None], u_spc - (At @ x[-1][:, :, None])[:, :, 0], u_spc)
     return u_vel, h, u_spc

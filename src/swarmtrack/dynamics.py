@@ -50,17 +50,18 @@ def wrap_angles(theta):
     return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))[()]
 
 
-def rk4_unicycle_arrays(x, y, th, speeds, u, dt):
+def rk4_unicycle_arrays(x, y, th, speeds, u, dt, k1=None):
     """One classical 4th-order step of the unicycle kinematics, arrays in/out.
 
     Controls are held constant over the step (zero-order hold), so the heading
     stage values at the two midpoints coincide and the position update reduces
     to Simpson's rule along the commanded arc; the heading update is exact.
+    k1 is the first stage (speeds * cos(th), speeds * sin(th)) when the caller
+    already has it.
     """
     th_mid = th + (0.5 * dt) * u
     th_end = th + dt * u
-    k1x = speeds * np.cos(th)
-    k1y = speeds * np.sin(th)
+    k1x, k1y = (speeds * np.cos(th), speeds * np.sin(th)) if k1 is None else k1
     k2x = speeds * np.cos(th_mid)  # == k3 under held controls
     k2y = speeds * np.sin(th_mid)
     k4x = speeds * np.cos(th_end)

@@ -1,23 +1,26 @@
 """Deterministic fixed-step simulation loop.
 
-One step takes one sample of the world at its top (the target's state and
-acceleration, the positions, the heading vectors) and everything else reads
-it: the network moves broadcast traffic up to now, every agent assembles its
-view of the swarm (ground truth, or what it last received in networked mode),
-forms the reference velocity and writes the three-term heading-rate command
-into the step's log rows, and the unicycle dynamics are integrated.
+`run_batch` steps B same-shape runs in lock step, their state one set of
+(B, n) arrays; `run` is a batch of one. One step takes one sample of each
+run's world at its top (the target's state and acceleration, the positions,
+the heading vectors) and everything else reads it: each network moves
+broadcast traffic up to now, every agent assembles its view of the swarm
+(ground truth, or what it last received in networked mode), forms the
+reference velocity and computes the three-term heading-rate command, the
+step's log rows are written, and the unicycle dynamics are integrated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from .analysis import check_feasibility, FeasibilityReport
-from .controllers import ControllerGains, control_terms
-from .dynamics import finite_pair, norm, require_finite, rk4_unicycle_arrays, vec2, wrap_angles
+from .controllers import BatchGains, ControllerGains, control_terms
+from .dynamics import finite_pair, norm, require_finite, rk4_unicycle_arrays, wrap_angles
 from .netsim import SALT_DISTURB, BroadcastNetwork, NetworkConfig, counter_uniform
 from .reference import (
     TargetProgram,
@@ -27,6 +30,7 @@ from .reference import (
     reference_kinematics,
     reference_rates,
     reference_signal,
+    stack_signals,
     target_state,
 )
 
@@ -256,15 +260,29 @@ RECORD_FIELDS = tuple(
 )
 
 
-def _alloc_log(rows: int, n: int, speeds, dt: float, seed: int) -> RunLog:
+def log_bytes(config: ScenarioConfig) -> int:
+    """Bytes of the RunLog arrays a config's run allocates."""
+    row = sum(np.dtype(dtype).itemsize * math.prod(config.n if d == AGENT else d for d in shape)
+              for _, shape, dtype, _ in RECORD_FIELDS)
+    return row * config.steps
+
+
+def _alloc_logs(configs) -> tuple[SimpleNamespace, list]:
+    """(arrays, logs) of B same-shape runs: each per-step field allocated once
+    as (steps, B, *row), an attribute of arrays, and case b's RunLog holding
+    the slices [:, b]."""
+    rows, n, cases = configs[0].steps, configs[0].n, len(configs)
     try:
         arrays = {
-            name: np.zeros((rows, *(n if d == AGENT else d for d in row)), dtype)
+            name: np.zeros((rows, cases, *(n if d == AGENT else d for d in row)), dtype)
             for name, row, dtype, _ in RECORD_FIELDS
         }
     except (ValueError, MemoryError) as exc:
-        raise MemoryError(f"cannot allocate the log of {rows:.3g} steps x {n} agents: {exc}") from None
-    return RunLog(**arrays, speeds=np.asarray(speeds, dtype=float).copy(), dt=dt, seed=seed)
+        size = f"{rows:.3g} steps x {n} agents" + (f" x {cases} cases" if cases > 1 else "")
+        raise MemoryError(f"cannot allocate the log of {size}: {exc}") from None
+    logs = [RunLog(**{name: a[:, b] for name, a in arrays.items()},
+                   speeds=c.speeds, dt=c.dt, seed=c.seed) for b, c in enumerate(configs)]
+    return SimpleNamespace(**arrays), logs
 
 
 def _truncate_log(log: RunLog, rows: int) -> RunLog:
@@ -317,137 +335,263 @@ def _closed_form_reference(mode: ReferenceMode, p0: np.ndarray, t: float):
 # Main loop
 
 
-def _start(config: ScenarioConfig):
-    """(x, y, wrapped headings, centroid, empty log) at a run's start; the log
-    holds the feasibility verdict, and NaN target columns when there is no target."""
-    x = np.array([a.position[0] for a in config.agents])
-    y = np.array([a.position[1] for a in config.agents])
-    th = wrap_angles([a.heading for a in config.agents])
-    log = _alloc_log(config.steps, config.n, config.speeds, config.dt, config.seed)
-    log.meta["feasibility"] = config.feasibility()
-    if config.target is None:
-        log.target_pos[:] = log.target_vel[:] = log.beta_norm[:] = math.nan
-    return x, y, th, vec2(x.mean(), y.mean()), log
+def batch_key(config: ScenarioConfig) -> tuple:
+    """What the configs of one `run_batch` share: n, dt, the step count, the kind
+    of reference mode, the spacing mode, and whether the run has a target and
+    whether it is networked."""
+    return (config.n, config.dt, config.steps, type(config.reference_mode),
+            config.gains.spacing_mode, config.target is not None, config.network is not None)
+
+
+def _start(configs):
+    """(x, y, wrapped headings, centroid, log arrays, logs) of B runs at their start,
+    the state as (B, n) rows and the centroids as (B, 2). Each log holds its
+    feasibility verdict, and NaN target columns when its run has no target."""
+    x = np.array([[a.position[0] for a in c.agents] for c in configs])
+    y = np.array([[a.position[1] for a in c.agents] for c in configs])
+    th = wrap_angles([[a.heading for a in c.agents] for c in configs])
+    arrays, logs = _alloc_logs(configs)
+    for c, log in zip(configs, logs):
+        log.meta["feasibility"] = c.feasibility()
+        if c.target is None:
+            log.target_pos[:] = log.target_vel[:] = log.beta_norm[:] = math.nan
+    return x, y, th, np.stack((x.mean(axis=1), y.mean(axis=1)), axis=1), arrays, logs
+
+
+def _case_rows(cases):
+    """The per-case constants of a batch as rows against its (B, n) state:
+    (speeds, BatchGains, u_max column, disturbance amplitude column, disturbed-case
+    column, seed column). u_max is inf for a case that sets none, and None when
+    no case sets one; the disturbed column is None when no case is disturbed."""
+    u_max = [c.gains.u_max for c in cases]
+    amplitude = np.array([[c.disturbance] for c in cases])
+    disturbed = amplitude > 0.0
+    return (np.array([c.speeds for c in cases]), BatchGains.of([c.gains for c in cases]),
+            None if u_max.count(None) == len(u_max)
+            else np.array([[math.inf if u is None else u] for u in u_max]),
+            amplitude, disturbed if disturbed.any() else None,
+            np.array([[c.seed % 2**64] for c in cases], dtype=np.uint64))
 
 
 def run(config: ScenarioConfig) -> RunLog:
-    """Simulate a scenario and return its complete log.
+    """Simulate a scenario and return its complete log: `run_batch` of one config.
 
     Deterministic: identical (config, seed) pairs produce bit-identical logs.
     Raises SimulationAborted (carrying the partial log) if the state ever goes
     non-finite; the config judged its speed set when it was built.
     """
-    n, dt, steps = config.n, config.dt, config.steps
-    gains = config.gains
-    speeds = config.speeds
-    x, y, th, centroid0, log = _start(config)
+    log = run_batch([config])[0]
+    if log.aborted is not None:
+        raise SimulationAborted(log.aborted, log)
+    return log
 
-    tracking = isinstance(config.reference_mode, TargetTracking)
-    weight = config.reference_mode.weight if tracking else None
-    net = BroadcastNetwork(config.network, n, config.seed, dt, steps) if config.network else None
-    # Generated reference points (see _sample_reference): row 0 is the
-    # observer's, rows 1..n the agents' own in networked tracking mode.
-    ref_rows = 1 + n if tracking and net is not None else 1
-    ref_pos = np.tile(centroid0, (ref_rows, 1))
-    ref_vel = np.zeros((ref_rows, 2))
+
+def run_batch(configs) -> list[RunLog]:
+    """Simulate B configs in lock step and return their logs, in order.
+
+    The configs must share `batch_key` (ValueError otherwise). The state is
+    one set of (B, n) arrays: every step does the trig, the centroid sums,
+    the integration, the finiteness check and the log rows for all cases at
+    once, and in ground truth one `control_terms` call serves every case. A
+    networked case keeps its own network and one call per agent view. Each
+    case samples its own target and reference in Python floats.
+
+    Each log equals bit for bit the one its config gives alone. A case whose
+    state goes non-finite leaves the batch after that step: its log is
+    truncated there and `aborted` says why, as `run` raises it, while the
+    other cases run on.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    if len({batch_key(c) for c in configs}) > 1:
+        raise ValueError("a batch shares n, dt, the step count, the reference-mode kind, "
+                         "the spacing mode, and whether it has a target and a network")
+    first = configs[0]
+    n, dt, steps = first.n, first.dt, first.steps
+    x, y, th, centroid0, rec, logs = _start(configs)
+
+    tracking = isinstance(first.reference_mode, TargetTracking)
+    nets = [BroadcastNetwork(c.network, n, c.seed, dt, steps) for c in configs] \
+        if first.network else None
+    # Generated reference points (see _sample_reference), per case: row 0 is
+    # the observer's, rows 1..n the agents' own in networked tracking mode.
+    ref_pos = np.repeat(centroid0[:, None], 1 + n if tracking and nets else 1, axis=1)
+    ref_vel = np.zeros(ref_pos.shape)
     agent_ids = np.arange(1, n + 1, dtype=np.uint64)
+    # The running cases: their indices into configs, and as an index array into
+    # the log arrays' case axis once a case has left the batch.
+    live, rows = list(range(len(configs))), None
+    cases = configs
+    speeds, gains, u_max, amplitude, disturbed, seeds = _case_rows(cases)
+    targeted = first.target is not None
 
     for m in range(steps):
         t = m * dt
-        # The step's one sample of the world; everything below reads it.
-        tgt_pos = tgt_vel = tgt_acc = None
-        if config.target is not None:
-            tgt_pos, tgt_vel = target_state(config.target, t)
-            tgt_acc = config.target.acceleration(t)
-        positions = np.column_stack((x, y))
+        # Each case's one sample of the world; everything below reads it.
+        world = [(*target_state(c.target, t), c.target.acceleration(t)) for c in cases] \
+            if targeted else [(None, None, None)] * len(cases)
+        positions = _pairs(x, y)
         vc = speeds * np.cos(th)
         vs = speeds * np.sin(th)
-        if net is not None:
-            velocities = np.column_stack((vc, vs))
-            if m == 0:
-                net.initialize(positions, velocities, tgt_pos, tgt_vel)
-            else:
-                net.advance(t, positions, velocities, tgt_pos, tgt_vel)
+        if nets is not None:
+            velocities = _pairs(vc, vs)
+            for net, (tgt_pos, tgt_vel, _), p, v in zip(nets, world, positions, velocities):
+                if m == 0:
+                    net.initialize(p, v, tgt_pos, tgt_vel)
+                else:
+                    net.advance(t, p, v, tgt_pos, tgt_vel)
 
         # sum / n is bit-identical to ndarray.mean without its per-call overhead
-        true_centroid = positions.sum(axis=0) / n
-        true_cvel = np.array([vc.sum() / n, vs.sum() / n])
-        stale_seen = 0
+        true_centroid = np.add.reduce(positions, 1) / n
 
-        # Observer reference (always computed from ground truth; logged).
+        # Observer references (always computed from ground truth; logged).
         if tracking:
-            obs_ref = _sample_reference(0, ref_pos, ref_vel, tgt_pos.tolist(), tgt_vel.tolist(),
-                                        tgt_acc.tolist(), true_centroid.tolist(), weight)
+            obs = [_sample_reference(0, ref_pos[i], ref_vel[i], tgt_pos.tolist(), tgt_vel.tolist(),
+                                     tgt_acc.tolist(), c, case.reference_mode.weight)
+                   for i, (case, (tgt_pos, tgt_vel, tgt_acc), c)
+                   in enumerate(zip(cases, world, true_centroid.tolist()))]
         else:
-            obs_ref = _closed_form_reference(config.reference_mode, centroid0, t)
+            obs = [_closed_form_reference(case.reference_mode, p0, t)
+                   for case, p0 in zip(cases, centroid0)]
 
-        # The controls go straight into the step's log rows.
-        u_vel, u_h, u_spc, u_tot = log.u_vel[m], log.u_h[m], log.u_spc[m], log.u_total[m]
-        if net is None:
-            u_vel[:], u_h[:], u_spc[:] = control_terms(speeds, th, positions, obs_ref, gains)
+        if nets is None and len(cases) == 1:  # one view: the kernel's cheaper float solve
+            u_vel, u_h, u_spc = (u[None] for u in control_terms(
+                speeds[0], th[0], positions[0], obs[0], cases[0].gains))
+        elif nets is None:
+            u_vel, u_h, u_spc = control_terms(speeds, th, positions, stack_signals(obs), gains)
         else:
-            for k in range(1, n + 1):
-                th_k, pos_k, stale_k = net.snapshot_for_agent(k, positions[k - 1], th[k - 1], t)
-                stale_seen += int(stale_k.sum())
-                if tracking:
-                    tp, tv, t_stale = net.target_estimate(k, t)
-                    stale_seen += int(t_stale)
-                    # Broadcasts carry no acceleration, so agents take a_T = 0.
-                    ref_k = _sample_reference(k, ref_pos, ref_vel, tp.tolist(), tv.tolist(),
-                                              _ZERO_ACC, (pos_k.sum(axis=0) / n).tolist(), weight)
-                else:
-                    ref_k = obs_ref
-                # each agent keeps its own row of its view's control terms
-                i = k - 1
-                u_v, h, u_s = control_terms(speeds, th_k, pos_k, ref_k, gains)
-                u_vel[i], u_h[i], u_spc[i] = u_v[i], h[i], u_s[i]
-        np.add(u_vel, u_h, out=u_tot)
+            u_vel, u_h, u_spc = np.empty((3, len(cases), n))
+            stale = [_agent_controls(net, case, t, positions[i], th[i], speeds[i],
+                                     ref_pos[i], ref_vel[i], obs[i] if not tracking else None,
+                                     (u_vel[i], u_h[i], u_spc[i]))
+                     for i, (case, net) in enumerate(zip(cases, nets))]
+        u_tot = u_vel + u_h
         u_tot += u_spc
-
-        if config.disturbance > 0.0:
-            draws = counter_uniform(config.seed, SALT_DISTURB, m, agent_ids)
-            u_tot += config.disturbance * (2.0 * draws - 1.0)
-        if gains.u_max is not None:
-            np.clip(u_tot, -gains.u_max, gains.u_max, out=u_tot)
+        if disturbed is not None:
+            draws = counter_uniform(seeds, SALT_DISTURB, m, agent_ids)
+            np.add(u_tot, amplitude * (2.0 * draws - 1.0), out=u_tot, where=disturbed)
+        if u_max is not None:
+            np.clip(u_tot, -u_max, u_max, out=u_tot)
 
         # Record the step (state at time t, command applied over [t, t+dt)).
-        log.t[m] = t
-        log.x[m] = x
-        log.y[m] = y
-        log.theta[m] = th
-        log.centroid[m] = true_centroid
-        log.centroid_vel[m] = true_cvel
-        log.ref_pos[m] = obs_ref[0]
-        log.ref_vel[m] = obs_ref[1]
-        if tgt_pos is not None:
-            log.target_pos[m] = tgt_pos
-            log.target_vel[m] = tgt_vel
-            log.beta_norm[m] = math.hypot(
-                true_centroid[0] - tgt_pos[0], true_centroid[1] - tgt_pos[1]
-            )
-        err = true_cvel - obs_ref[1]
-        log.alpha_norm[m] = math.hypot(err[0], err[1])
-        log.V[m] = 0.5 * float(err @ err)
-        log.dist_to_centroid[m] = np.hypot(x - true_centroid[0], y - true_centroid[1])
-        if net is not None:
-            log.net_sent[m] = net.stats.sent
-            log.net_decisions[m] = net.stats.pair_decisions
-            log.net_delivered[m] = net.stats.delivered
-            log.net_dropped[m] = net.stats.dropped
-            log.stale_count[m] = stale_seen
+        at = m if rows is None else (m, rows)
+        rec.t[m] = t
+        rec.x[at] = x
+        rec.y[at] = y
+        rec.theta[at] = th
+        rec.u_vel[at] = u_vel
+        rec.u_h[at] = u_h
+        rec.u_spc[at] = u_spc
+        rec.u_total[at] = u_tot
+        rec.centroid[at] = true_centroid
+        rec.ref_pos[at] = [ref[0] for ref in obs]
+        rec.ref_vel[at] = [ref[1] for ref in obs]
+        if targeted:
+            rec.target_pos[at] = [p for p, _, _ in world]
+            rec.target_vel[at] = [v for _, v, _ in world]
+        if nets is not None:
+            rec.net_sent[at] = [net.stats.sent for net in nets]
+            rec.net_decisions[at] = [net.stats.pair_decisions for net in nets]
+            rec.net_delivered[at] = [net.stats.delivered for net in nets]
+            rec.net_dropped[at] = [net.stats.dropped for net in nets]
+            rec.stale_count[at] = stale
 
         # Integrate dynamics, then references; network traffic moves at the
         # top of the next step.
-        x, y, th = rk4_unicycle_arrays(x, y, th, speeds, u_tot, dt)
+        x, y, th = rk4_unicycle_arrays(x, y, th, speeds, u_tot, dt, k1=(vc, vs))
         if tracking:
-            ref_pos = ref_pos + ref_vel * dt  # not in place: obs_ref holds a row view
+            ref_pos = ref_pos + ref_vel * dt  # not in place: the step's references hold row views
 
-        if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(th).all()):
-            _truncate_log(log, m + 1)
-            log.aborted = f"non-finite state after step {m} (t={(m + 1) * dt:.6g} s)"
-            raise SimulationAborted(log.aborted, log)
+        # A non-finite entry makes its sum non-finite; a finite sum that overflows
+        # only sends the step to the exact per-case check.
+        if not np.isfinite(x + y + th).all():
+            finite = (np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+                      & np.isfinite(th).all(axis=1))
+            for i in np.flatnonzero(~finite):
+                log = _truncate_log(logs[live[i]], m + 1)
+                log.aborted = f"non-finite state after step {m} (t={(m + 1) * dt:.6g} s)"
+            live = [b for b, ok in zip(live, finite) if ok]
+            if not live:
+                break
+            rows = np.array(live)
+            cases = [configs[b] for b in live]
+            nets = None if nets is None else [net for net, ok in zip(nets, finite) if ok]
+            x, y, th, centroid0, ref_pos, ref_vel = (
+                a[finite] for a in (x, y, th, centroid0, ref_pos, ref_vel))
+            speeds, gains, u_max, amplitude, disturbed, seeds = _case_rows(cases)
 
-    return log
+    _derive_columns(rec, np.array([c.speeds for c in configs]), targeted)
+    return logs
+
+
+# Steps per block of `_derive_columns`; it bounds the temporaries to a few MB.
+DERIVED_STEPS = 4096
+
+
+def _derive_columns(rec, speeds, targeted: bool):
+    """Fill the log columns that follow from the logged state: the centroid
+    velocity, V and alpha_norm against the reference velocity, each agent's
+    distance to the centroid and, with a target, beta_norm.
+
+    They take the operations a step would, on every step and case at once, a
+    block of DERIVED_STEPS steps at a time; the rows past a case's abort hold
+    zeros and are never read.
+    """
+    n = speeds.shape[-1]
+    for start in range(0, len(rec.t), DERIVED_STEPS):
+        block = slice(start, start + DERIVED_STEPS)
+        theta, centroid = rec.theta[block], rec.centroid[block]
+        cvel = _pairs(np.add.reduce(speeds * np.cos(theta), 2) / n,
+                      np.add.reduce(speeds * np.sin(theta), 2) / n)
+        rec.centroid_vel[block] = cvel
+        err = cvel - rec.ref_vel[block]
+        rec.V[block] = 0.5 * (err[..., None, :] @ err[..., None])[..., 0, 0]
+        rec.alpha_norm[block] = _hypot_rows(err)
+        rec.dist_to_centroid[block] = np.hypot(rec.x[block] - centroid[..., :1],
+                                               rec.y[block] - centroid[..., 1:])
+        if targeted:
+            rec.beta_norm[block] = _hypot_rows(centroid - rec.target_pos[block])
+
+
+def _hypot_rows(pairs: np.ndarray) -> np.ndarray:
+    """math.hypot of every (x, y) pair of an (..., 2) array, an array of shape (...).
+    Two flat lists of floats, not a list of pairs, keep the Python objects few."""
+    x, y = pairs[..., 0].ravel().tolist(), pairs[..., 1].ravel().tolist()
+    return np.fromiter(map(math.hypot, x, y), float, len(x)).reshape(pairs.shape[:-1])
+
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a and b as the (x, y) pairs of one (*a.shape, 2) array: np.stack on the
+    last axis, without its per-call overhead."""
+    out = np.empty((*a.shape, 2))
+    out[..., 0] = a
+    out[..., 1] = b
+    return out
+
+
+def _agent_controls(net, case, t, positions, th, speeds, ref_pos, ref_vel, shared_ref, out) -> int:
+    """One networked case's controls: each agent k computes all n control rows from
+    its own view and keeps row k, written into the (u_vel, h, u_spc) rows of out.
+    The agents share the observer reference shared_ref unless it is None: in
+    tracking mode agent k generates its own in row k of ref_pos and ref_vel.
+    Returns the stale entries the agents saw."""
+    n = len(speeds)
+    stale_seen = 0
+    for k in range(1, n + 1):
+        th_k, pos_k, stale_k = net.snapshot_for_agent(k, positions[k - 1], th[k - 1], t)
+        stale_seen += int(stale_k.sum())
+        ref_k = shared_ref
+        if ref_k is None:
+            tp, tv, t_stale = net.target_estimate(k, t)
+            stale_seen += int(t_stale)
+            # Broadcasts carry no acceleration, so agents take a_T = 0.
+            ref_k = _sample_reference(k, ref_pos, ref_vel, tp.tolist(), tv.tolist(), _ZERO_ACC,
+                                      (pos_k.sum(axis=0) / n).tolist(), case.reference_mode.weight)
+        j = k - 1
+        u_vel, h, u_spc = control_terms(speeds, th_k, pos_k, ref_k, case.gains)
+        out[0][j], out[1][j], out[2][j] = u_vel[j], h[j], u_spc[j]
+    return stale_seen
 
 
 # --------------------------------------------------------------------------
@@ -466,8 +610,9 @@ def run_oracle_centroid(config: ScenarioConfig) -> RunLog:
     if not isinstance(config.reference_mode, TargetTracking):
         raise ValueError("the centroid oracle only makes sense for target-tracking configs")
     dt, steps = config.dt, config.steps
-    x0, y0, th0, centroid0, log = _start(config)
-    offx, offy = x0 - centroid0[0], y0 - centroid0[1]
+    x0, y0, th0, centroid0, _, (log,) = _start([config])
+    th0, centroid0 = th0[0], centroid0[0]
+    offx, offy = x0[0] - centroid0[0], y0[0] - centroid0[1]
 
     beta = centroid0 - target_state(config.target, 0.0)[0]
     w = config.reference_mode.weight

@@ -47,9 +47,9 @@ def _splitmix64(z: int) -> int:
 def counter_uniform(seed: int, *ids: int) -> float:
     """Deterministic uniform draw in [0, 1) keyed by (seed, ids...).
 
-    Any ids may be uint64 arrays: the draws are then an array of their
-    broadcast shape, each equal to the call with those elements as Python
-    ints. An int64 array raises OverflowError on numpy 2.4: the 64-bit mask
+    The seed and any ids may be uint64 arrays: the draws are then an array of
+    their broadcast shape, each equal to the call with those elements as
+    Python ints. An int64 array raises OverflowError on numpy 2.4: the 64-bit mask
     does not fit in int64.
     """
     state = _splitmix64(seed & _MASK)

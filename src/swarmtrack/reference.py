@@ -238,6 +238,27 @@ def reference_signal(position, v_ref, theta_ref, kappa_ref=0.0, a_ref=0.0,
     return position, (v_ref * c, v_ref * s), rhs, beacon_velocity
 
 
+_ZERO_PAIR = (0.0, 0.0)
+
+
+def stack_signals(signals):
+    """The `reference_signal` tuples of B views as one batch for `control_terms`:
+    (position, velocity, rhs, beacon_velocity, has_rhs).
+
+    position and velocity are (B, 2) arrays, and has_rhs is the (B,) mask of
+    the views that have an rhs. rhs is (B, 2), 0 in the rows of the other
+    views, or None when no view has one. beacon_velocity is (B, 2), (0, 0)
+    for a view without one, or None when no view has one.
+    """
+    has_rhs = np.array([sig[2] is not None for sig in signals])
+    rhs = (np.array([_ZERO_PAIR if sig[2] is None else sig[2] for sig in signals])
+           if has_rhs.any() else None)
+    beacon = (np.array([_ZERO_PAIR if sig[3] is None else sig[3] for sig in signals])
+              if any(sig[3] is not None for sig in signals) else None)
+    return (np.array([sig[0] for sig in signals]), np.array([sig[1] for sig in signals]),
+            rhs, beacon, has_rhs)
+
+
 def polar_velocity(velocity):
     """(speed, heading) of a planar velocity, heading 0 at rest; every reference's polar form."""
     vx, vy = velocity

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from swarmtrack import cli
+from swarmtrack import cli, engine
 from swarmtrack.analysis import build_equilibrium, classify_equilibrium
 from swarmtrack.cli import (
     bundled_scenario_text,
@@ -706,11 +706,33 @@ def test_cli_sweep_rejects_bad_param_syntax(tmp_path, capsys):
     assert "bad --param" in capsys.readouterr().err
 
 
-def test_run_sweep_parallel_matches_serial(tmp_path):
+def test_run_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     params = [("controller", "gamma", ["0.05", "0.1"])]
     serial = run_sweep(SMALL, params, tmp_path / "s1", base_seed=0, parallel=1)
     parallel = run_sweep(SMALL, params, tmp_path / "s2", base_seed=0, parallel=2)
     assert serial == parallel
+
+    # Mixed shapes: four groups of cases that run in lock step, the same rows
+    # and artifacts in parallel, and with batches cut to one case each.
+    text = SMALL + "\n[network]\nmode = ground_truth\nloss = 0.2\n"
+    params = [("controller", "gamma", ["0.05", "0.1", "0.2"]), ("sim", "duration", ["1", "2"]),
+              ("network", "mode", ["ground_truth", "broadcast"])]
+
+    def sweep(name, parallel):
+        rows = run_sweep(text, params, tmp_path / name, base_seed=0, parallel=parallel)
+        return rows, [(tmp_path / name / f"case_{i:03d}" / "trajectory.csv").read_bytes()
+                      for i in range(len(rows))]
+
+    reference = sweep("m1", 1)
+    assert [r["case"] for r in reference[0]] == list(range(12))
+    assert all(r["status"] == "ok" for r in reference[0])
+    assert sweep("m2", 2) == reference
+    config = parse_scenario_text(SMALL)
+    monkeypatch.setattr(cli, "BATCH_LOG_BYTES", engine.log_bytes(config))
+    jobs = [(i, config, "") for i in range(3)]
+    assert [len(batch) for batch in cli._sweep_batches(jobs, 1)] == [1, 1, 1]
+    assert sweep("m3", 1) == reference
+    assert sweep("m4", 2) == reference
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oracles import (
     u_velocity_real_form,
 )
 from swarmtrack.controllers import (
+    BatchGains,
     ControllerGains,
     SpacingMode,
     beacon_lead,
@@ -25,7 +26,7 @@ from swarmtrack.controllers import (
 )
 from swarmtrack.dynamics import rk4_unicycle_arrays, wrap_angles
 from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
-from swarmtrack.reference import reference_signal
+from swarmtrack.reference import reference_signal, stack_signals
 
 
 def view(speeds, headings, positions):
@@ -356,6 +357,31 @@ def test_control_terms_match_the_separate_laws(mode, feedforward, turning):
         if mode is SpacingMode.BEACON_PROJECTED:
             raw = kernel_projection(raw, build_A(speeds, headings))
         np.testing.assert_allclose(u_spc, raw, rtol=0.0, atol=1e-12)
+
+    # The same laws over a batch: this view and 9 random views, each with its
+    # own gains and reference, plus one view with aligned headings (rank(A) < 2),
+    # as one call. Every row equals its view's own call bit for bit.
+    for n in (5, 48):
+        views = [(speeds, headings, positions)] if n == 5 else [random_view(rng, n)]
+        views += [random_view(rng, n) for _ in range(10 - len(views))]
+        aligned_speeds, _, aligned_positions = random_view(rng, n)
+        views.append((aligned_speeds, np.full(n, 0.7), aligned_positions))
+        rates = [(kappa_ref * (1 + 0.1 * i), a_ref) for i in range(len(views))]
+        if turning:
+            rates[3] = (0.0, 0.0)  # a row with no rhs among rows with one
+        refs = [reference_signal(rng.uniform(-5.0, 5.0, 2), rng.uniform(0.0, 2.0),
+                                 rng.uniform(-3.0, 3.0), kappa, a,
+                                 beacon_velocity=tuple(rng.uniform(-1.0, 1.0, 2)))
+                for kappa, a in rates]
+        row_gains = [ControllerGains(gamma=rng.uniform(0.01, 1.0), omega0=rng.uniform(0.1, 1.0),
+                                     spacing_mode=mode, feedforward=feedforward and i != 5)
+                     for i in range(len(views))]
+        batch = control_terms(*(np.array(a) for a in zip(*views)), stack_signals(refs),
+                              BatchGains.of(row_gains))
+        for i, (view_i, ref_i, gains_i) in enumerate(zip(views, refs, row_gains)):
+            for row, one in zip(batch, control_terms(*view_i, ref_i, gains_i)):
+                assert row[i].tobytes() == one.tobytes()
+        assert batch[1][-1].tobytes() == np.zeros(n).tobytes()
 
 
 def test_combined_control_reduces_to_velocity_law():

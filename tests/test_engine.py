@@ -1,6 +1,7 @@
 """End-to-end simulation loop: determinism, logging schema, physics sanity."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -471,6 +472,103 @@ def test_u_max_does_not_hide_a_non_finite_command():
     log = exc.value.log
     assert log.rows < cfg.steps
     assert not np.isfinite(log.u_total[-1]).all()
+
+
+# --------------------------------------------------------------------------
+# lock-step batches
+
+
+def log_digest(log):
+    """SHA-256 over (name, dtype, shape, bytes) of every array field of a RunLog,
+    in field order, and its aborted text."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(log):
+        value = getattr(log, f.name)
+        if isinstance(value, np.ndarray):
+            a = np.ascontiguousarray(value)
+            h.update(f"{f.name}:{a.dtype.str}:{a.shape};".encode())
+            h.update(a.tobytes())
+    h.update(repr(log.aborted).encode())
+    return h.hexdigest()
+
+
+TRACKING = dict(
+    reference_mode=TargetTracking(DistanceDependentWeight(0.1)),
+    target=TurningTarget(initial_position=(100.0, 0.0), speed=2.0, kappa=0.05),
+)
+# gamma 1e307 in the beacon term overflows after 88 steps; u_max must not hide it
+BLOWS_UP = ControllerGains(gamma=1e307, u_max=0.5, spacing_mode=SpacingMode.BEACON)
+
+
+def batch_groups():
+    """Groups of configs that one run_batch can hold, as the sweep forms them."""
+    beacon, projected = SpacingMode.BEACON, SpacingMode.BEACON_PROJECTED
+    tracking = [
+        basic_config(gains=ControllerGains(gamma=0.001, omega0=0.25, spacing_mode=beacon)),
+        basic_config(gains=ControllerGains(gamma=0.01, omega0=0.1, spacing_mode=beacon,
+                                           u_max=0.3)),
+        basic_config(gains=ControllerGains(gamma=0.1, omega0=0.5, spacing_mode=beacon),
+                     disturbance=0.05, seed=4),
+        basic_config(gains=ControllerGains(gamma=0.003, spacing_mode=beacon, feedforward=False)),
+        basic_config(gains=BLOWS_UP),
+        basic_config(gains=ControllerGains(gamma=0.03, omega0=0.25, spacing_mode=beacon,
+                                           u_max=math.inf)),
+    ]
+    turning = [
+        basic_config(reference_mode=TurningRef(speed=1.5, kappa=0.02),
+                     gains=ControllerGains(gamma=g, omega0=w, spacing_mode=projected, u_max=u,
+                                           feedforward=ff))
+        for g, w, u, ff in ((0.05, 0.25, None, True), (0.2, 0.1, 0.4, True),
+                            (0.1, 0.3, None, False))
+    ]
+    networked = [
+        basic_config(gains=ControllerGains(gamma=g, omega0=0.25, spacing_mode=beacon),
+                     network=NetworkConfig(loss_probability=0.2), seed=seed)
+        for g, seed in ((0.001, 3), (0.01, 4), (0.001, 5))
+    ]
+    return [[dataclasses.replace(c, duration=2.0, **TRACKING) for c in tracking],
+            [dataclasses.replace(c, duration=2.0) for c in turning],
+            [dataclasses.replace(c, duration=1.0, **TRACKING) for c in networked]]
+
+
+def test_every_batched_case_equals_its_own_run():
+    aborted = []
+    with np.errstate(all="ignore"):
+        for group in batch_groups():
+            batch = engine.run_batch(group)
+            alone = [engine.run_batch([config])[0] for config in group]
+            assert [log_digest(log) for log in batch] == [log_digest(log) for log in alone]
+            aborted += [log for log in batch if log.aborted]
+            # the batch-mates of an aborted case run every step
+            assert all(log.rows == group[0].steps for log in batch if not log.aborted)
+    # one case goes non-finite mid-run, with the serial run's length and text
+    assert len(aborted) == 1
+    assert aborted[0].rows == 89
+    assert aborted[0].aborted == "non-finite state after step 88 (t=0.89 s)"
+
+
+def test_run_raises_the_batch_of_one_abort():
+    config = dataclasses.replace(basic_config(gains=BLOWS_UP), duration=2.0, **TRACKING)
+    with np.errstate(all="ignore"):
+        log = engine.run_batch([config])[0]
+        with pytest.raises(SimulationAborted, match="after step 88") as exc:
+            run(config)
+    assert log_digest(exc.value.log) == log_digest(log)
+
+
+def test_derived_columns_do_not_depend_on_their_block(monkeypatch):
+    group = batch_groups()[0][:3]
+    whole = [log_digest(log) for log in engine.run_batch(group)]
+    monkeypatch.setattr(engine, "DERIVED_STEPS", 7)
+    assert [log_digest(log) for log in engine.run_batch(group)] == whole
+
+
+def test_run_batch_refuses_configs_of_different_shapes():
+    with pytest.raises(ValueError, match="a batch shares"):
+        engine.run_batch([basic_config(), basic_config(duration=2.0)])
+    with pytest.raises(ValueError, match="a batch shares"):
+        engine.run_batch([basic_config(), basic_config(network=NetworkConfig())])
+    assert engine.run_batch([]) == []
 
 
 def test_u_max_clamps_total_only():
