@@ -130,7 +130,11 @@ class BroadcastNetwork:
     time. An instant goes out at the first grid time after it, and a delivery
     applies at the first grid time at or after its arrival. A plan holds, for a
     window of steps, each message's step and the delivery each step keeps per
-    (receiver, sender) pair.
+    (receiver, sender) pair; it is the only writer of the received-state
+    arrays after `initialize`, and each delivery it applies is newer than
+    every one before it. The target has a state at every step or at none: the
+    first `initialize` or `advance` fixes which, and an untargeted network's
+    target instants count in `seq` but reach no receiver.
     """
 
     def __init__(self, config: NetworkConfig, n_agents: int, seed: int, dt: float, steps: int):
@@ -144,6 +148,7 @@ class BroadcastNetwork:
             raise MemoryError(f"cannot plan the broadcast traffic: {draws / n_agents:.3g} messages "
                               f"a step to {n_agents} agents need more than {PLAN_DRAWS} loss draws")
         self._window = int(min(steps, PLAN_DRAWS / draws))  # steps a plan spans
+        self._lag = math.ceil((config.delay + config.jitter) / dt) + 2  # past any arrival's step
         self.seq = np.zeros(n_agents + 1, dtype=np.int64)
         self._received = np.zeros((n_agents, n_agents + 1, 6))
         self.pos, self.vel = self._received[..., 0:2], self._received[..., 2:4]
@@ -151,26 +156,28 @@ class BroadcastNetwork:
         self.recv_t[...] = -math.inf
         self.stats = NetworkStats()
         self._step = 0  # the grid step the network is at
+        self._targeted = None  # whether the target has a state, fixed by the first call
         self._planned = np.zeros(n_agents + 1, dtype=np.int64)  # instants planned, per source
-        # The plan. Messages: sender, seq, step sent, receivers reached, states, live flags;
-        # deliveries in order: apply step, flat (receiver, sender) pair, message, arrival;
-        # `_kept`: the kept ones' positions; `_at`: each step's first message, delivery
-        # and kept delivery.
-        self._sender = self._seq = self._sent = self._reach = np.empty(0, dtype=int)
-        self._state, self._live, self._all_live = np.empty((0, 6)), np.empty(0, dtype=bool), True
+        # The plan. Messages: sender, seq, receivers reached, states; deliveries in
+        # order: apply step, flat (receiver, sender) pair, message, arrival; `_kept`:
+        # the kept ones' positions; `_at`: each step's first message, delivery and
+        # kept delivery.
+        self._sender = self._seq = self._reach = np.empty(0, dtype=int)
+        self._state = np.empty((0, 6))
         self._due = self._pair = self._msg = self._arrival = self._seq
-        self._start, self._end, self._lag = 1, 1, 0  # the window is steps start..end - 1
+        self._start, self._end = 1, 1  # the window is steps start..end - 1
         self._at = np.zeros((1, 3), dtype=np.int64)
 
-    def deliver(self, receiver: int, sender: int, arrival: float, position, velocity, heading=None):
-        """Store a delivery unless a newer arrival is held; `heading` defaults to velocity's."""
-        if arrival >= self.recv_t[receiver - 1, sender]:
-            if heading is None:
-                heading = math.atan2(velocity[1], velocity[0])
-            self._received[receiver - 1, sender] = (*position, *velocity, heading, arrival)
+    def _fix_target(self, target_pos):
+        """Refuse a call whose target presence differs from the first call's."""
+        targeted = target_pos is not None
+        if self._targeted not in (None, targeted):
+            raise ValueError("the target must have a state at every step of the network or at none")
+        self._targeted = targeted
 
     def initialize(self, positions, velocities, target_pos, target_vel):
-        """Give every agent everyone's true state at t = 0, before any delivery."""
+        """Give every agent everyone's true state at t = 0; target_pos None means no target."""
+        self._fix_target(target_pos)
         rows, cols = np.nonzero(~np.eye(self.n, dtype=bool))  # every (receiver, other agent) pair
         headings = [math.atan2(vy, vx) for vx, vy in np.asarray(velocities, dtype=float).tolist()]
         states = np.column_stack((positions, velocities, headings, np.zeros(self.n)))
@@ -183,14 +190,16 @@ class BroadcastNetwork:
         """Send the messages planned for t_new, the next grid time, then apply its deliveries.
 
         Messages carry the state at t_new; a source above 1/dt sends more than
-        once in a step, and the target's are dropped unsent while it has no
-        state. Of the arrivals due by t_new, each (receiver, sender) pair keeps
-        the last in (arrival, seq) order, unless it holds a newer arrival.
+        once in a step, and an untargeted network's target instants go unsent.
+        Of the arrivals due by t_new, each (receiver, sender) pair keeps the last
+        in (arrival, seq) order. Raises ValueError for a time off the grid, or a
+        target present where the first call had none or absent where it had one.
         """
         m = self._step + 1
         if not (m < self.steps and t_new == m * self.dt):
             raise ValueError(f"t = {t_new!r} is not the next time of the network's grid "
                              f"({self.steps} steps of {self.dt!r} s, at step {m - 1})")
+        self._fix_target(target_pos)
         self._step = m
         if m == self._end:
             self._plan(m)
@@ -198,18 +207,17 @@ class BroadcastNetwork:
         if e0 < e1:
             self._emit(e0, e1, positions, velocities, target_pos, target_vel)
         if k0 < k1:
-            self._apply(r0, r1, k0, k1)
+            self._apply(k0, k1)
 
     def _emit(self, e0, e1, positions, velocities, target_pos, target_vel):
-        """Write and count the states of messages e0..e1; the target's go unsent without one."""
+        """Write and count the states of messages e0..e1; an untargeted target's go unsent."""
         stats, states = self.stats, []
         positions = [target_pos] + np.asarray(positions, dtype=float).tolist()  # by source
         velocities = [target_vel] + np.asarray(velocities, dtype=float).tolist()
         messages = zip(*(a[e0:e1].tolist() for a in (self._sender, self._seq, self._reach)))
-        for i, (s, seq, reach) in enumerate(messages, e0):
+        for s, seq, reach in messages:
             self.seq[s] = seq + 1
-            if positions[s] is None:  # the target, without a state
-                self._live[i] = self._all_live = False
+            if positions[s] is None:  # an untargeted network's target: no receivers
                 states.append((0.0,) * 5)
                 continue
             (px, py), (vx, vy) = positions[s], velocities[s]
@@ -221,28 +229,18 @@ class BroadcastNetwork:
             stats.dropped += decisions - reach
         self._state[e0:e1, :5] = states
 
-    def _apply(self, r0, r1, k0, k1):
-        """Apply the step's kept deliveries to the pairs that hold no newer arrival."""
-        if self._all_live:
-            kept = self._kept[k0:k1]
-        else:  # a dropped message may have been a pair's last delivery
-            live = r0 + np.flatnonzero(self._live[self._msg[r0:r1]])
-            kept = live[_last_rows(self._pair[live], self._arrival[live])]
-        pair, msg, arrival = self._pair[kept], self._msg[kept], self._arrival[kept]
-        received = self._received.reshape(-1, 6)
-        fresh = arrival >= received[pair, 5]
-        if not fresh.all():
-            pair, msg, arrival = pair[fresh], msg[fresh], arrival[fresh]
-        update = np.take(self._state, msg, axis=0)
-        update[:, 5] = arrival
-        received[pair] = update
+    def _apply(self, k0, k1):
+        """Apply the step's kept deliveries, each newer than any its pair holds."""
+        kept = self._kept[k0:k1]
+        update = np.take(self._state, self._msg[kept], axis=0)
+        update[:, 5] = self._arrival[kept]
+        self._received.reshape(-1, 6)[self._pair[kept]] = update
 
     def _plan(self, m0):
         """Plan the window from step m0: its messages, their deliveries and those still to apply."""
         n, cfg, origin, m1 = self.n, self.config, m0 - 1, min(self.steps, m0 + self._window)
         # Grid times from step m0 - 1 to past the latest arrival of the window's messages.
-        lag = math.ceil((cfg.delay + cfg.jitter) / self.dt) + 2
-        grid = np.arange(origin, min(self.steps, m1 + lag)) * self.dt
+        grid = np.arange(origin, min(self.steps, m1 + self._lag)) * self.dt
         # Each source's instants from its first unplanned one to one past the
         # last before grid time m1 - 1; those sent before step m1 are the window's.
         first, end = self._planned, grid[m1 - m0]
@@ -255,11 +253,13 @@ class BroadcastNetwork:
         sender, seq, step = sender[sent], seq[sent], step[sent]
         self._planned = first + np.bincount(sender, minlength=n + 1)
 
-        # The loss draw and the jitter draw span the (message, receiver) grid.
+        # The loss draw and the jitter draw span the (message, receiver) grid; an
+        # untargeted network's target messages reach no receiver.
         receivers = np.arange(1, n + 1, dtype=np.uint64)
         ids = (sender.astype(np.uint64)[:, None], seq.astype(np.uint64)[:, None], receivers)
         survives = counter_uniform(self.seed, SALT_LOSS, *ids) >= cfg.loss_probability
-        msg, col = np.nonzero((receivers != ids[0]) & survives)
+        heard = (receivers != ids[0]) & ((sender != TARGET_ID) | self._targeted)[:, None]
+        msg, col = np.nonzero(heard & survives)
         delay = cfg.delay
         if cfg.jitter > 0.0:
             delay = cfg.delay + cfg.jitter * counter_uniform(self.seed, SALT_JITTER, *ids)[msg, col]
@@ -267,15 +267,12 @@ class BroadcastNetwork:
 
         # The deliveries still to apply come first, each as a message of its own.
         carried = np.arange(self._at[-1, 1], len(self._due))
-        if not self._all_live:
-            carried = carried[self._live[self._msg[carried]]]
         old, c = self._msg[carried], len(carried)
         reach = np.bincount(msg, minlength=len(seq))
-        prior = self._sender, self._seq, self._sent, self._reach
-        self._sender, self._seq, self._sent, self._reach = (
-            np.concatenate((a[old], b)) for a, b in zip(prior, (sender, seq, step, reach)))
+        prior = self._sender, self._seq, self._reach
+        self._sender, self._seq, self._reach = (
+            np.concatenate((a[old], b)) for a, b in zip(prior, (sender, seq, reach)))
         self._state = np.concatenate((self._state[old], np.empty((len(seq), 6))))
-        self._live, self._all_live = np.ones(len(self._seq), dtype=bool), True
 
         # Order the deliveries by (due, pair), a pair's rows staying in seq order as
         # they come, and keep each (due, pair)'s last row in (arrival, seq) order.
@@ -291,16 +288,14 @@ class BroadcastNetwork:
         bounds = np.arange(m0, m1 + 1)
         starts = [np.searchsorted(a, bounds) for a in (step, self._due, self._due[self._kept])]
         self._at, self._start, self._end = np.column_stack((c + starts[0], *starts[1:])), m0, m1
-        self._lag = int((self._due - self._sent[self._msg]).max(initial=0))  # most steps in flight
 
     @property
     def pending(self) -> np.ndarray:
         """The deliveries sent and not yet applied: (arrival, sender, seq, receiver) rows."""
-        r0, r1 = self._due.searchsorted([self._step + 1, self._step + 1 + self._lag])
-        if r0 == r1:  # as always without delay and jitter
-            return np.empty(0, dtype=_IN_FLIGHT)
-        msg = self._msg[r0:r1]
-        i = r0 + np.flatnonzero((self._sent[msg] <= self._step) & self._live[msg])
+        m = self._step
+        r0, r1 = self._due.searchsorted([m + 1, m + 1 + self._lag])
+        # the messages sent so far are those before the next step's first
+        i = r0 + np.flatnonzero(self._msg[r0:r1] < self._at[m + 1 - self._start, 0])
         out, j = np.empty(len(i), dtype=_IN_FLIGHT), self._msg[i]
         out["arrival"], out["sender"], out["seq"] = self._arrival[i], self._sender[j], self._seq[j]
         out["receiver"] = self._pair[i] // (self.n + 1) + 1

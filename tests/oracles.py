@@ -163,15 +163,22 @@ class ScalarNetwork(BroadcastNetwork):
     source) and emits every instant that has passed at each `advance`. Every
     (sender, seq, receiver) triple takes its own scalar loss and jitter draws,
     in-flight deliveries sit on a heap of (arrival, sender, seq, receiver,
-    message) tuples and pop in that order through `deliver`, and `initialize`
-    makes one `deliver` call per pair. Only the phases, the received-state
-    arrays and `deliver` are shared with `BroadcastNetwork`.
+    message) tuples and pop in that order through `deliver`, the reference
+    store rule, and `initialize` makes one `deliver` call per pair. Only the
+    phases and the received-state arrays are shared with `BroadcastNetwork`.
     """
 
     def __init__(self, config, n_agents, seed, dt, steps):
         super().__init__(config, n_agents, seed, dt, steps)
         self._next_send = self.phase.copy()
         self.in_flight = []
+
+    def deliver(self, receiver: int, sender: int, arrival: float, position, velocity, heading=None):
+        """Store a delivery unless a newer arrival is held; `heading` defaults to velocity's."""
+        if arrival >= self.recv_t[receiver - 1, sender]:
+            if heading is None:
+                heading = math.atan2(velocity[1], velocity[0])
+            self._received[receiver - 1, sender] = (*position, *velocity, heading, arrival)
 
     @property
     def pending(self):

@@ -642,6 +642,24 @@ def test_cli_sweep_unallocatable_log_fails_only_its_case(tmp_path, capsys):
     assert rows[1]["status"] == "ok"
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_cli_sweep_unplannable_network_fails_only_its_case(tmp_path, capsys, parallel):
+    # both cases share one batch_key, so their batch cannot be set up and runs
+    # again one case at a time
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(SMALL + "\n[network]\nmode = broadcast\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out), "--parallel",
+                   str(parallel), "--param", "network.agent_rate=10,1e9"])
+    assert rc == 0
+    assert "(1 failed)" in capsys.readouterr().out
+    _, rows = read_sweep_csv(out / "sweep.csv")
+    assert rows[0]["status"] == "ok"
+    assert (out / "case_000" / "trajectory.csv").exists()
+    assert rows[1]["status"].startswith(
+        "error: cannot plan the broadcast traffic: 6e+07 messages a step to 3 agents")
+
+
 def test_cli_sweep_empty_grid(tmp_path, capsys):
     scenario = tmp_path / "base.ini"
     scenario.write_text(SMALL, encoding="utf-8")

@@ -526,9 +526,21 @@ def batch_groups():
                      network=NetworkConfig(loss_probability=0.2), seed=seed)
         for g, seed in ((0.001, 3), (0.01, 4), (0.001, 5))
     ]
+    # untargeted, each case with its own traffic: delay, jitter, dead reckoning, staleness
+    untargeted = [
+        basic_config(reference_mode=TurningRef(speed=1.5, kappa=0.02),
+                     gains=ControllerGains(gamma=0.05, omega0=0.25, spacing_mode=projected),
+                     network=NetworkConfig(agent_rate=rate, loss_probability=0.1, delay=delay,
+                                           jitter=jitter, extrapolate=extrapolate,
+                                           staleness_budget=budget), seed=seed)
+        for rate, delay, jitter, extrapolate, budget, seed in (
+            (10.0, 0.0, 0.0, False, None, 3), (10.0, 0.05, 0.05, True, 0.08, 4),
+            (20.0, 0.03, 0.0, False, 0.05, 5), (10.0, 0.0, 0.07, True, None, 6))
+    ]
     return [[dataclasses.replace(c, duration=2.0, **TRACKING) for c in tracking],
             [dataclasses.replace(c, duration=2.0) for c in turning],
-            [dataclasses.replace(c, duration=1.0, **TRACKING) for c in networked]]
+            [dataclasses.replace(c, duration=1.0, **TRACKING) for c in networked],
+            [dataclasses.replace(c, duration=1.0) for c in untargeted]]
 
 
 def test_every_batched_case_equals_its_own_run():

@@ -151,6 +151,25 @@ def test_advance_refuses_a_time_off_the_grid():
         net.advance(3 * 0.02, pos, vel, None, None)
 
 
+@pytest.mark.parametrize("start", ["initialize", "advance"])
+@pytest.mark.parametrize("targeted", [True, False])
+def test_target_has_a_state_at_every_step_or_at_none(start, targeted):
+    # the first call fixes whether the network has a target; a later call that
+    # differs is refused and leaves the network at its step
+    net = BroadcastNetwork(NetworkConfig(), 2, seed=1, dt=0.02, steps=3)
+    pos, vel = np.zeros((2, 2)), np.zeros((2, 2))
+    present, absent = (np.zeros(2), np.ones(2)), (None, None)
+    first, other = (present, absent) if targeted else (absent, present)
+    times = [0.02, 2 * 0.02]
+    if start == "initialize":
+        net.initialize(pos, vel, *first)
+    else:
+        net.advance(times.pop(0), pos, vel, *first)
+    with pytest.raises(ValueError, match="at every step of the network or at none"):
+        net.advance(times[0], pos, vel, *other)
+    net.advance(times[0], pos, vel, *first)
+
+
 def test_network_refuses_traffic_it_cannot_plan():
     # a mean step of 3 * 0.02 * (3e9 + 5) loss draws is over any window's budget
     with pytest.raises(MemoryError, match="6e\\+07 messages a step to 3 agents"):
@@ -199,7 +218,8 @@ def filled(net, owner):
 
 
 def test_table_never_rolls_back():
-    net = BroadcastNetwork(NetworkConfig(), 2, seed=0, dt=0.01, steps=1)
+    # the oracle's store rule; run_both checks the planned network never rolls back
+    net = ScalarNetwork(NetworkConfig(), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 1.0, (1.0, 1.0), (1.0, 0.0))
     net.deliver(1, 2, 0.5, (9.0, 9.0), (0.0, 1.0))  # late arrival of the older message
     np.testing.assert_allclose(net.pos[0, 2], [1.0, 1.0])
@@ -325,19 +345,19 @@ def test_snapshot_own_state_is_truth():
 
 
 def test_snapshot_extrapolates_constant_velocity_sender():
-    net = BroadcastNetwork(NetworkConfig(extrapolate=True), 2, seed=0, dt=0.01, steps=1)
+    net = ScalarNetwork(NetworkConfig(extrapolate=True), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
     np.testing.assert_allclose(positions[1], [10.0 + 3.0 * 1.5, 4.0 * 1.5], atol=1e-12)
     # without extrapolation: last received position as-is
-    net = BroadcastNetwork(NetworkConfig(), 2, seed=0, dt=0.01, steps=1)
+    net = ScalarNetwork(NetworkConfig(), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 1.0, (10.0, 0.0), (3.0, 4.0))
     _, positions, _ = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.5)
     np.testing.assert_allclose(positions[1], [10.0, 0.0])
 
 
 def test_snapshot_staleness_flag():
-    net = BroadcastNetwork(NetworkConfig(staleness_budget=1.0), 2, seed=0, dt=0.01, steps=1)
+    net = ScalarNetwork(NetworkConfig(staleness_budget=1.0), 2, seed=0, dt=0.01, steps=1)
     net.deliver(1, 2, 0.0, (1.0, 1.0), (1.0, 0.0))
     _, _, stale = net.snapshot_for_agent(1, own_position=(0.0, 0.0), own_heading=0.0, t=2.0)
     assert stale[1] and not stale[0]
@@ -392,7 +412,7 @@ def delivery_runs(draw):
 @settings(max_examples=200, deadline=None)
 def test_views_match_last_accepted_oracle(run):
     n, with_target, deliveries, config, init, t = run
-    net = BroadcastNetwork(config, n, seed=0, dt=0.01, steps=1)
+    net = ScalarNetwork(config, n, seed=0, dt=0.01, steps=1)
     tpos, tvel = init[0] if with_target else (None, None)
     net.initialize([p for p, _ in init[1:]], [v for _, v in init[1:]], tpos, tvel)
 
@@ -452,25 +472,19 @@ def assert_same_network(net, ref):
     assert sorted(net.pending.tolist()) == ref.pending  # (arrival, sender, seq, receiver) rows
 
 
-def run_both(config, n, seed, states, targets, dt, early=()):
-    """Drive both networks through the same steps, comparing after each one.
-
-    Each (m, receiver, sender, ahead) in `early` delivers sender's step-m
-    state to receiver before step m, stamped `ahead` seconds after it, so
-    that in-flight arrivals older than the stored one must not overwrite it.
-    """
+def run_both(config, n, seed, states, targets, dt):
+    """Drive both networks through the same steps, comparing after each one, and
+    check that no arrival time the planned network holds ever decreases."""
     net, ref = (cls(config, n, seed, dt, len(states)) for cls in (BroadcastNetwork, ScalarNetwork))
     for m, ((pos, vel), target) in enumerate(zip(states, targets)):
         tpos, tvel = target if target is not None else (None, None)
+        held = net.recv_t.copy()
         for network in (net, ref):
-            for step, receiver, sender, ahead in early:
-                if step == m and m > 0 and (sender or tpos is not None):
-                    state = (tpos, tvel) if sender == TARGET_ID else (pos[sender - 1], vel[sender - 1])
-                    network.deliver(receiver, sender, m * dt + ahead, *state)
             if m == 0:
                 network.initialize(pos, vel, tpos, tvel)
             else:
                 network.advance(m * dt, pos, vel, tpos, tvel)
+        assert (net.recv_t >= held).all()
         assert_same_network(net, ref)
     return net
 
@@ -490,18 +504,10 @@ def network_runs(draw):
     steps = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = [(rng.uniform(-50, 50, (n, 2)), rng.uniform(-5, 5, (n, 2))) for _ in range(steps)]
-    target = draw(st.sampled_from(["present", "absent", "intermittent"]))
-    targets = [
-        (rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2))
-        if target == "present" or (target == "intermittent" and rng.random() < 0.5) else None
-        for _ in range(steps)
-    ]
-    early = draw(st.lists(
-        st.tuples(st.integers(1, steps), st.integers(1, n), st.integers(0, n), st.floats(0.0, 5 * dt))
-        .filter(lambda e: e[1] != e[2]),
-        max_size=5,
-    ))
-    return config, n, draw(st.integers(0, 2**64 - 1)), states, targets, dt, early
+    targeted = draw(st.booleans())
+    targets = [(rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2)) if targeted else None
+               for _ in range(steps)]
+    return config, n, draw(st.integers(0, 2**64 - 1)), states, targets, dt
 
 
 @given(network_runs())
@@ -514,14 +520,14 @@ def test_network_matches_message_by_message_network(run):
 @settings(max_examples=60, deadline=None)
 def test_network_matches_across_plan_windows(run, spare):
     # a budget a few draws above a mean step's plans a few steps a window
-    config, n, _, _, _, dt, _ = run
+    config, n, _, _, _, dt = run
     draws = n * dt * (n * config.agent_rate + config.target_rate)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(netsim, "PLAN_DRAWS", math.ceil(draws) + spare)
         run_both(*run)
 
 
-@pytest.mark.parametrize("target", ["absent", "present", "intermittent"])
+@pytest.mark.parametrize("target", ["absent", "present"])
 def test_deliveries_carry_across_plan_windows(monkeypatch, target):
     # 40 draws plan one step of 21 at a time, and deliveries arrive 2.5 to 5
     # steps after they are sent: they carry across several windows
@@ -531,11 +537,8 @@ def test_deliveries_carry_across_plan_windows(monkeypatch, target):
                            delay=0.05, jitter=0.05)
     rng = np.random.default_rng(3)
     states = [(rng.uniform(-50, 50, (n, 2)), rng.uniform(-5, 5, (n, 2))) for _ in range(steps)]
-    targets = [
-        (rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2))
-        if target == "present" or (target == "intermittent" and rng.random() < 0.5) else None
-        for _ in range(steps)
-    ]
+    targets = [(rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2)) if target == "present" else None
+               for _ in range(steps)]
     net = run_both(config, n, 29, states, targets, dt)
     assert net._window == 1 and net.stats.delivered > 0
 
