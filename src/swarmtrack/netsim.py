@@ -210,7 +210,7 @@ class BroadcastNetwork:
             self._apply(k0, k1)
 
     def _emit(self, e0, e1, positions, velocities, target_pos, target_vel):
-        """Write and count the states of messages e0..e1; an untargeted target's go unsent."""
+        """Write and count the states of messages e0..e1; a missing target's go unsent."""
         stats, states = self.stats, []
         positions = [target_pos] + np.asarray(positions, dtype=float).tolist()  # by source
         velocities = [target_vel] + np.asarray(velocities, dtype=float).tolist()
