@@ -380,10 +380,13 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
     parameter that `override_scenario_text` refuses, `sim.seed`, or a
     SECTION.KEY given twice raises ScenarioError with nothing written. The
     cases that share an `engine.batch_key` run in lock step,
-    in batches of at most BATCH_LOG_BYTES of logs; `parallel` worker
-    processes share the batches. A case that fails to parse, aborts or cannot
-    be written is recorded in its row, not fatal.
+    in batches of at most BATCH_LOG_BYTES of logs; min(`parallel`, batches)
+    worker processes share the batches, and a single batch runs in this
+    process. `parallel` below 1 raises ValueError. A case that fails to parse,
+    aborts or cannot be written is recorded in its row, not fatal.
     """
+    if parallel < 1:
+        raise ValueError(f"--parallel must be at least 1, got {parallel}")
     param_names = [f"{section}.{key}" for section, key, _ in params]
     for name in param_names:
         if param_names.count(name) > 1:
@@ -405,8 +408,9 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
         jobs.append((i, config, str(out / f"case_{i:03d}")))
     out.mkdir(parents=True, exist_ok=True)
     batches = _sweep_batches(jobs, parallel)
-    if parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(batches))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_sweep_case, batches))
     else:
         done = [_run_sweep_case(batch) for batch in batches]

@@ -397,9 +397,10 @@ def run_batch(configs) -> list[RunLog]:
     case samples its own target and reference in Python floats.
 
     Each log equals bit for bit the one its config gives alone. A case whose
-    state goes non-finite leaves the batch after that step: its log is
-    truncated there and `aborted` says why, as `run` raises it, while the
-    other cases run on.
+    state goes non-finite stops there: its log is truncated after that step
+    and `aborted` says why, as `run` raises it. Its rows stay in the batch's
+    arrays, NaN from then on and never logged, while the other cases run on;
+    the loop ends when every case has stopped.
     """
     configs = list(configs)
     if not configs:
@@ -419,18 +420,14 @@ def run_batch(configs) -> list[RunLog]:
     ref_pos = np.repeat(centroid0[:, None], 1 + n if tracking and nets else 1, axis=1)
     ref_vel = np.zeros(ref_pos.shape)
     agent_ids = np.arange(1, n + 1, dtype=np.uint64)
-    # The running cases: their indices into configs, and as an index array into
-    # the log arrays' case axis once a case has left the batch.
-    live, rows = list(range(len(configs))), None
-    cases = configs
-    speeds, gains, u_max, amplitude, disturbed, seeds = _case_rows(cases)
+    speeds, gains, u_max, amplitude, disturbed, seeds = _case_rows(configs)
     targeted = first.target is not None
 
     for m in range(steps):
         t = m * dt
         # Each case's one sample of the world; everything below reads it.
-        world = [(*target_state(c.target, t), c.target.acceleration(t)) for c in cases] \
-            if targeted else [(None, None, None)] * len(cases)
+        world = [(*target_state(c.target, t), c.target.acceleration(t)) for c in configs] \
+            if targeted else [(None, None, None)] * len(configs)
         positions = _pairs(x, y)
         vc = speeds * np.cos(th)
         vs = speeds * np.sin(th)
@@ -450,22 +447,22 @@ def run_batch(configs) -> list[RunLog]:
             obs = [_sample_reference(0, ref_pos[i], ref_vel[i], tgt_pos.tolist(), tgt_vel.tolist(),
                                      tgt_acc.tolist(), c, case.reference_mode.weight)
                    for i, (case, (tgt_pos, tgt_vel, tgt_acc), c)
-                   in enumerate(zip(cases, world, true_centroid.tolist()))]
+                   in enumerate(zip(configs, world, true_centroid.tolist()))]
         else:
             obs = [_closed_form_reference(case.reference_mode, p0, t)
-                   for case, p0 in zip(cases, centroid0)]
+                   for case, p0 in zip(configs, centroid0)]
 
-        if nets is None and len(cases) == 1:  # one view: the kernel's cheaper float solve
+        if nets is None and len(configs) == 1:  # one view: the kernel's cheaper float solve
             u_vel, u_h, u_spc = (u[None] for u in control_terms(
-                speeds[0], th[0], positions[0], obs[0], cases[0].gains))
+                speeds[0], th[0], positions[0], obs[0], configs[0].gains))
         elif nets is None:
             u_vel, u_h, u_spc = control_terms(speeds, th, positions, stack_signals(obs), gains)
         else:
-            u_vel, u_h, u_spc = np.empty((3, len(cases), n))
+            u_vel, u_h, u_spc = np.empty((3, len(configs), n))
             stale = [_agent_controls(net, case, t, positions[i], th[i], speeds[i],
                                      ref_pos[i], ref_vel[i], obs[i] if not tracking else None,
                                      (u_vel[i], u_h[i], u_spc[i]))
-                     for i, (case, net) in enumerate(zip(cases, nets))]
+                     for i, (case, net) in enumerate(zip(configs, nets))]
         u_tot = u_vel + u_h
         u_tot += u_spc
         if disturbed is not None:
@@ -475,27 +472,26 @@ def run_batch(configs) -> list[RunLog]:
             np.clip(u_tot, -u_max, u_max, out=u_tot)
 
         # Record the step (state at time t, command applied over [t, t+dt)).
-        at = m if rows is None else (m, rows)
         rec.t[m] = t
-        rec.x[at] = x
-        rec.y[at] = y
-        rec.theta[at] = th
-        rec.u_vel[at] = u_vel
-        rec.u_h[at] = u_h
-        rec.u_spc[at] = u_spc
-        rec.u_total[at] = u_tot
-        rec.centroid[at] = true_centroid
-        rec.ref_pos[at] = [ref[0] for ref in obs]
-        rec.ref_vel[at] = [ref[1] for ref in obs]
+        rec.x[m] = x
+        rec.y[m] = y
+        rec.theta[m] = th
+        rec.u_vel[m] = u_vel
+        rec.u_h[m] = u_h
+        rec.u_spc[m] = u_spc
+        rec.u_total[m] = u_tot
+        rec.centroid[m] = true_centroid
+        rec.ref_pos[m] = [ref[0] for ref in obs]
+        rec.ref_vel[m] = [ref[1] for ref in obs]
         if targeted:
-            rec.target_pos[at] = [p for p, _, _ in world]
-            rec.target_vel[at] = [v for _, v, _ in world]
+            rec.target_pos[m] = [p for p, _, _ in world]
+            rec.target_vel[m] = [v for _, v, _ in world]
         if nets is not None:
-            rec.net_sent[at] = [net.stats.sent for net in nets]
-            rec.net_decisions[at] = [net.stats.pair_decisions for net in nets]
-            rec.net_delivered[at] = [net.stats.delivered for net in nets]
-            rec.net_dropped[at] = [net.stats.dropped for net in nets]
-            rec.stale_count[at] = stale
+            rec.net_sent[m] = [net.stats.sent for net in nets]
+            rec.net_decisions[m] = [net.stats.pair_decisions for net in nets]
+            rec.net_delivered[m] = [net.stats.delivered for net in nets]
+            rec.net_dropped[m] = [net.stats.dropped for net in nets]
+            rec.stale_count[m] = stale
 
         # Integrate dynamics, then references; network traffic moves at the
         # top of the next step.
@@ -504,24 +500,19 @@ def run_batch(configs) -> list[RunLog]:
             ref_pos = ref_pos + ref_vel * dt  # not in place: the step's references hold row views
 
         # A non-finite entry makes its sum non-finite; a finite sum that overflows
-        # only sends the step to the exact per-case check.
+        # only sends the step to the exact per-case check. A stopped case stays
+        # NaN (cos and wrap_angles of inf are NaN), so it runs on unlogged.
         if not np.isfinite(x + y + th).all():
             finite = (np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
                       & np.isfinite(th).all(axis=1))
-            for i in np.flatnonzero(~finite):
-                log = _truncate_log(logs[live[i]], m + 1)
-                log.aborted = f"non-finite state after step {m} (t={(m + 1) * dt:.6g} s)"
-            live = [b for b, ok in zip(live, finite) if ok]
-            if not live:
+            for log, ok in zip(logs, finite):
+                if not ok and log.aborted is None:
+                    _truncate_log(log, m + 1)
+                    log.aborted = f"non-finite state after step {m} (t={(m + 1) * dt:.6g} s)"
+            if all(log.aborted is not None for log in logs):
                 break
-            rows = np.array(live)
-            cases = [configs[b] for b in live]
-            nets = None if nets is None else [net for net, ok in zip(nets, finite) if ok]
-            x, y, th, centroid0, ref_pos, ref_vel = (
-                a[finite] for a in (x, y, th, centroid0, ref_pos, ref_vel))
-            speeds, gains, u_max, amplitude, disturbed, seeds = _case_rows(cases)
 
-    _derive_columns(rec, np.array([c.speeds for c in configs]), targeted)
+    _derive_columns(rec, speeds, targeted)
     return logs
 
 
@@ -536,7 +527,7 @@ def _derive_columns(rec, speeds, targeted: bool):
 
     They take the operations a step would, on every step and case at once, a
     block of DERIVED_STEPS steps at a time; the rows past a case's abort hold
-    zeros and are never read.
+    NaN (zeros past the step where every case had stopped) and are never read.
     """
     n = speeds.shape[-1]
     for start in range(0, len(rec.t), DERIVED_STEPS):

@@ -2,6 +2,7 @@
 plot.gp column indices, exit codes, sweeps, and scenario overrides.
 """
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -751,6 +752,46 @@ def test_run_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert [len(batch) for batch in cli._sweep_batches(jobs, 1)] == [1, 1, 1]
     assert sweep("m3", 1) == reference
     assert sweep("m4", 2) == reference
+
+
+def test_sweep_starts_at_most_one_worker_per_batch(tmp_path, monkeypatch, capsys):
+    # the fake pool records its size and maps in this process, so no process starts
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    params = [("controller", "gamma", ["0.05", "0.1"])]
+    serial = run_sweep(SMALL, params, tmp_path / "s1", base_seed=0, parallel=1)
+    assert pools == []
+    assert run_sweep(SMALL, params, tmp_path / "s2", base_seed=0, parallel=64) == serial
+    assert pools == [2]
+    run_sweep(SMALL, [("controller", "gamma", ["0.05"])], tmp_path / "s3", base_seed=0,
+              parallel=64)
+    assert pools == [2]
+
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"--parallel must be at least 1, got {bad}"):
+            run_sweep(SMALL, params, tmp_path / "s4", base_seed=0, parallel=bad)
+    scenario = tmp_path / "base.ini"
+    scenario.write_text(SMALL, encoding="utf-8")
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "s5"),
+                   "--parallel", "0", "--param", "controller.gamma=0.05,0.1"])
+    assert rc == 1
+    assert "error: --parallel must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "s4").exists() and not (tmp_path / "s5").exists()
+    assert pools == [2]
 
 
 # --------------------------------------------------------------------------

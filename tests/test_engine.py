@@ -526,6 +526,9 @@ def batch_groups():
                      network=NetworkConfig(loss_probability=0.2), seed=seed)
         for g, seed in ((0.001, 3), (0.01, 4), (0.001, 5))
     ]
+    # the first networked case with a gain that overflows mid-run
+    networked.append(dataclasses.replace(networked[0], gains=dataclasses.replace(
+        networked[0].gains, gamma=1e307, u_max=0.5)))
     # untargeted, each case with its own traffic: delay, jitter, dead reckoning, staleness
     untargeted = [
         basic_config(reference_mode=TurningRef(speed=1.5, kappa=0.02),
@@ -540,7 +543,11 @@ def batch_groups():
     return [[dataclasses.replace(c, duration=2.0, **TRACKING) for c in tracking],
             [dataclasses.replace(c, duration=2.0) for c in turning],
             [dataclasses.replace(c, duration=1.0, **TRACKING) for c in networked],
-            [dataclasses.replace(c, duration=1.0) for c in untargeted]]
+            [dataclasses.replace(c, duration=1.0) for c in untargeted],
+            # every case stops, each at its own step
+            [dataclasses.replace(c, duration=2.0, **TRACKING) for c in (
+                basic_config(gains=BLOWS_UP),
+                basic_config(gains=ControllerGains(gamma=1e308, spacing_mode=beacon)))]]
 
 
 def test_every_batched_case_equals_its_own_run():
@@ -553,10 +560,13 @@ def test_every_batched_case_equals_its_own_run():
             aborted += [log for log in batch if log.aborted]
             # the batch-mates of an aborted case run every step
             assert all(log.rows == group[0].steps for log in batch if not log.aborted)
-    # one case goes non-finite mid-run, with the serial run's length and text
-    assert len(aborted) == 1
-    assert aborted[0].rows == 89
-    assert aborted[0].aborted == "non-finite state after step 88 (t=0.89 s)"
+    # the stopped cases, with the serial runs' lengths and texts
+    assert [(log.rows, log.aborted) for log in aborted] == [
+        (89, "non-finite state after step 88 (t=0.89 s)"),
+        (75, "non-finite state after step 74 (t=0.75 s)"),  # networked
+        (89, "non-finite state after step 88 (t=0.89 s)"),  # the all-stopped batch
+        (1, "non-finite state after step 0 (t=0.01 s)"),
+    ]
 
 
 def test_run_raises_the_batch_of_one_abort():
