@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine
 from .analysis import (
     EquilibriumRejected,
     build_equilibrium,
@@ -78,14 +79,13 @@ def csv_columns(n: int) -> list[str]:
 def _log_columns(log: RunLog) -> dict:
     """The CSV columns of a log in file order, as views of its arrays.
 
-    The integer counters are converted to floats, the values the CSV holds.
+    The integer counters stay int64: a float64 stack of them holds the same
+    values, and the summary reads the same floats from either.
     """
     columns = {}
     for name, field, i in _csv_layout(log.n):
         values = getattr(log, field)
-        if i is not None:
-            values = values[:, i]
-        columns[name] = values if values.dtype == np.float64 else values.astype(float)
+        columns[name] = values if i is None else values[:, i]
     return columns
 
 
@@ -94,21 +94,25 @@ def write_trajectory_csv(log: RunLog, path):
 
     Floats use 17 significant digits, so every value round-trips exactly.
     Leading '#' comment lines carry run parameters for tools that want them;
-    CSV consumers can skip them.
+    CSV consumers can skip them. The rows are formatted engine.DERIVED_STEPS
+    at a time, so writing adds at most one block of rows to the log's memory;
+    the file is the one a single np.savetxt of the whole log writes.
     """
     path = Path(path)
-    header = ",".join(csv_columns(log.n))
+    columns = list(_log_columns(log).values())
     speeds = " ".join(_FLOAT_FMT % v for v in log.speeds)
-    comments = (
+    head = (
         f"# speeds = {speeds}\n"
         f"# dt = {_FLOAT_FMT % log.dt}\n"
         f"# seed = {log.seed}\n"
+        f"{','.join(csv_columns(log.n))}\n"
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(comments)
-        np.savetxt(fh, np.column_stack(list(_log_columns(log).values())),
-                   fmt=_FLOAT_FMT, delimiter=",",
-                   header=header, comments="")
+        fh.write(head)
+        for start in range(0, log.rows, engine.DERIVED_STEPS):
+            block = slice(start, start + engine.DERIVED_STEPS)
+            np.savetxt(fh, np.column_stack([c[block] for c in columns]),
+                       fmt=_FLOAT_FMT, delimiter=",")
 
 
 def read_trajectory_csv(path):

@@ -88,7 +88,9 @@ def _gram_solve(A: np.ndarray, *rhs):
     """One x per 2-sequence r in rhs solving (A A^T) x = r, or None if rank(A) < 2.
 
     The Gram entries are formed once for every r. Explicit 2x2 arithmetic:
-    cheap, allocation-free, and exact to rounding.
+    cheap, allocation-free, and exact to rounding. A A^T is positive
+    semidefinite, so a determinant that rounds to 0 or below means rank < 2
+    to rounding, whatever the singular-value test reads.
     """
     g11 = float(A[0] @ A[0])
     g12 = float(A[0] @ A[1])
@@ -99,7 +101,7 @@ def _gram_solve(A: np.ndarray, *rhs):
     disc = math.sqrt(max((g11 - g22) ** 2 + 4.0 * g12 * g12, 0.0))
     smin = math.sqrt(max(0.5 * (tr - disc), 0.0))
     smax = math.sqrt(max(0.5 * (tr + disc), 0.0))
-    if smin <= 1e-8 * max(1.0, smax):
+    if det <= 0.0 or smin <= 1e-8 * max(1.0, smax):
         return None
     return [np.array([(g22 * r[0] - g12 * r[1]) / det, (g11 * r[1] - g12 * r[0]) / det])
             for r in rhs]
@@ -122,7 +124,7 @@ def _gram_solve_rows(A: np.ndarray, *rhs):
     disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 * g12, 0.0))
     smin = np.sqrt(np.maximum(0.5 * (tr - disc), 0.0))
     smax = np.sqrt(np.maximum(0.5 * (tr + disc), 0.0))
-    ok = ~(smin <= 1e-8 * np.maximum(1.0, smax))
+    ok = ~((det <= 0.0) | (smin <= 1e-8 * np.maximum(1.0, smax)))
     det = np.where(ok, det, 1.0)
     return ok, [np.stack(((g22 * r[:, 0] - g12 * r[:, 1]) / det,
                           (g11 * r[:, 1] - g12 * r[:, 0]) / det), axis=1) for r in rhs]
@@ -166,8 +168,9 @@ def control_terms(speeds, headings, positions, ref, gains):
     * h is the minimum-2-norm solution A^T (A A^T)^{-1} b of A h = b, from
       the 2x2 normal equations. It is 0 when rhs is None (no turn and no speed
       change), when feedforward is off, and when the smaller singular value of
-      A is below tolerance (headings aligned mod pi): such configurations are
-      unstable equilibria the closed loop escapes on its own.
+      A is below tolerance or A A^T has no positive determinant (headings
+      aligned mod pi): such configurations are unstable equilibria the
+      closed loop escapes on its own.
     * u_spc_k = -(omega0 + gamma * omega0 * <r_k - b_k, v_k e^{i th_k}>) with
       the beacon b_k = r_ref + beacon_lead(v_k, gamma) * beacon_velocity
       (b_k = r_ref when beacon_velocity is None). Alone it settles each

@@ -8,6 +8,9 @@ by the pseudo-inverse, and `wrap_angle` is the angle reduction by
 `math.remainder` that `swarmtrack.dynamics.wrap_angles` must equal bit for bit.
 `ScalarNetwork` is the broadcast network message by message, which
 `swarmtrack.netsim.BroadcastNetwork` must equal after every step.
+`write_trajectory_csv_whole` is the trajectory file as one `np.savetxt` of
+the whole log, which `swarmtrack.cli.write_trajectory_csv` must equal byte for
+byte.
 """
 
 import heapq
@@ -15,6 +18,7 @@ import math
 
 import numpy as np
 
+from swarmtrack import cli
 from swarmtrack.netsim import SALT_JITTER, SALT_LOSS, TARGET_ID, BroadcastNetwork, counter_uniform
 
 
@@ -154,6 +158,17 @@ def tracking_metrics(log) -> dict:
         "dist_to_centroid": dists,
         "order_param_norm": order,
     }
+
+
+def write_trajectory_csv_whole(log, path):
+    """The trajectory file from one float64 stack of every column of the log,
+    the counters converted first, formatted by a single np.savetxt."""
+    columns = [c.astype(float) for c in cli._log_columns(log).values()]
+    speeds = " ".join(cli._FLOAT_FMT % v for v in log.speeds)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# speeds = {speeds}\n# dt = {cli._FLOAT_FMT % log.dt}\n# seed = {log.seed}\n")
+        np.savetxt(fh, np.column_stack(columns), fmt=cli._FLOAT_FMT, delimiter=",",
+                   header=",".join(cli.csv_columns(log.n)), comments="")
 
 
 class ScalarNetwork(BroadcastNetwork):

@@ -4,13 +4,16 @@ plot.gp column indices, exit codes, sweeps, and scenario overrides.
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import write_trajectory_csv_whole
 from swarmtrack import cli, engine
 from swarmtrack.analysis import build_equilibrium, classify_equilibrium
 from swarmtrack.cli import (
@@ -134,6 +137,51 @@ def test_trajectory_csv_round_trips_exactly(small_log, tmp_path):
         assert np.array_equal(cols[name], vec, equal_nan=True), name
     # no target in this scenario: the target columns must be NaN all the way
     assert np.isnan(cols["target_x"]).all()
+
+
+BLOCK = 7  # engine.DERIVED_STEPS in the writer tests, so short logs span blocks
+
+
+def block_logs():
+    """Networked logs of 1 row, one block, one block + 1 and two blocks + 1
+    rows, and one aborted part way through a block."""
+    config = parse_scenario_text(NETWORKED)
+    logs = [run(dataclasses.replace(config, duration=rows * config.dt))
+            for rows in (1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)]
+    # the beacon term overflows after 67 steps
+    blows_up = NETWORKED.replace("gamma = 0.1", "gamma = 5e306\nspacing = beacon\nu_max = 0.5")
+    with np.errstate(all="ignore"):
+        logs += engine.run_batch([parse_scenario_text(blows_up)])
+    return logs
+
+
+def test_trajectory_csv_is_the_whole_log_savetxt(monkeypatch, tmp_path):
+    monkeypatch.setattr(engine, "DERIVED_STEPS", BLOCK)
+    logs = block_logs()
+    assert [log.rows for log in logs[:4]] == [1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+    assert logs[-1].aborted and logs[-1].rows > BLOCK and logs[-1].rows % BLOCK
+    assert logs[-1].net_delivered[-1] > 0
+    for log in logs:
+        write_trajectory_csv(log, tmp_path / "blocks.csv")
+        write_trajectory_csv_whole(log, tmp_path / "whole.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        # the summary of the int64 counters is the summary of their float copies
+        as_floats = {k: v.astype(float) for k, v in cli._log_columns(log).items()}
+        assert (json.dumps(summarize_columns(as_floats, log.dt))
+                == json.dumps(summarize(log)["metrics"]))
+
+
+def test_trajectory_csv_holds_one_block_at_a_time(monkeypatch, tmp_path):
+    monkeypatch.setattr(engine, "DERIVED_STEPS", 512)
+    config = dataclasses.replace(parse_scenario_text(SMALL), duration=8.25 * 512 * 0.02)
+    log = run(config)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(log, tmp_path / "trajectory.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < engine.log_bytes(config) / 4
 
 
 def test_read_trajectory_csv_rejects_headerless_file(tmp_path):

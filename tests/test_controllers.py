@@ -25,7 +25,7 @@ from swarmtrack.controllers import (
     control_terms,
 )
 from swarmtrack.dynamics import rk4_unicycle_arrays, wrap_angles
-from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, run
+from swarmtrack.engine import AgentInit, ConstantRef, ScenarioConfig, TurningRef, run
 from swarmtrack.reference import reference_signal, stack_signals
 
 
@@ -281,6 +281,35 @@ def test_projector_rank_deficient_passthrough():
     raw, out = beacon_and_projected(v)
     np.testing.assert_array_equal(kernel_projection(raw, build_A(v[0], v[1])), raw)
     np.testing.assert_array_equal(out, raw)
+
+
+def test_rank_one_view_with_a_zero_determinant_gets_no_solve():
+    # One vehicle: A has rank 1, yet smin, computed from the Gram eigenvalues,
+    # rounds above the 1e-8 tolerance, while the determinant rounds to 0.
+    v = view([11.91076828903408], [3.0705633383039146], np.zeros((1, 2)))
+    ref = reference_signal((0, 0), 2.0, 0.3, 0.05, 0.0)
+    gains = ControllerGains(0.01)
+    one = control_terms(*v, ref, gains)
+    assert one[1].tobytes() == np.zeros(1).tobytes()
+    assert all(np.isfinite(term).all() for term in one)
+    batch = control_terms(*(a[None] for a in v), stack_signals([ref]), BatchGains.of([gains]))
+    for row, term in zip(batch, one):
+        assert row[0].tobytes() == term.tobytes()
+
+
+@pytest.mark.parametrize("heading, speed, gains, mode, duration", [
+    (0.6774569514146349, 9.57311391817699, ControllerGains(0.01), TurningRef(2.0, 0.05), 60.0),
+    (-2.4352281465576047, 11.46501552189179,
+     ControllerGains(0.01, spacing_mode=SpacingMode.BEACON_PROJECTED), ConstantRef((1, 0.5)), 1.0),
+], ids=["feedforward", "projected"])
+def test_lone_vehicle_runs_through_rank_one_solves(heading, speed, gains, mode, duration):
+    # each run meets a view whose Gram determinant rounds to 0 or below
+    config = ScenarioConfig(agents=(AgentInit((0.0, 0.0), heading, speed),), gains=gains,
+                            reference_mode=mode, duration=duration, dt=0.02,
+                            allow_infeasible=True)
+    log = run(config)
+    assert log.aborted is None and log.rows == config.steps
+    assert np.isfinite(log.u_total).all()
 
 
 # --------------------------------------------------------------------------
