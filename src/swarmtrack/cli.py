@@ -377,8 +377,9 @@ def _sweep_batches(jobs, workers: int) -> list[list]:
 
 
 def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> list[dict]:
-    """Cross-product sweep. Each case writes artifacts under out/case_XXX and
-    one row into out/sweep.csv; case i runs at seed base_seed + i.
+    """Cross-product sweep (no params: one case, the text as given). Case i
+    writes artifacts under out/case_XXX and one row into out/sweep.csv, at
+    seed base_seed + i.
 
     Every case's text is built and parsed before any case runs, so a
     parameter that `override_scenario_text` refuses, `sim.seed`, or a
@@ -398,7 +399,7 @@ def run_sweep(text: str, params, out_dir, base_seed: int, parallel: int = 1) -> 
     if "sim.seed" in param_names:
         raise ScenarioError("sweeping sim.seed is not supported (case i runs at the base seed + i)")
     out = Path(out_dir)
-    cases = list(itertools.product(*(values for *_, values in params))) if params else []
+    cases = list(itertools.product(*(values for *_, values in params)))
     results, jobs = {}, []
     for i, case in enumerate(cases):
         case_text = text

@@ -84,24 +84,23 @@ class BatchGains(NamedTuple):
                    modes.pop(), np.array([g.feedforward for g in gains]))
 
 
-def _gram_solve(A: np.ndarray, *rhs):
-    """One x per 2-sequence r in rhs solving (A A^T) x = r, or None if rank(A) < 2.
+# det / tr^2 of A A^T is (smin smax)^2 / (smin^2 + smax^2)^2, about (smin / smax)^2
+# for A's singular values smin <= smax. Rounding leaves a rank-1 A below 2e-16
+# (random views, n <= 192); the rule refuses smin / smax below about 1e-6, far above.
+_RANK_TOL = 1e-12
 
-    The Gram entries are formed once for every r. Explicit 2x2 arithmetic:
-    cheap, allocation-free, and exact to rounding. A A^T is positive
-    semidefinite, so a determinant that rounds to 0 or below means rank < 2
-    to rounding, whatever the singular-value test reads.
+
+def _gram_solve(A: np.ndarray, *rhs):
+    """One x per 2-sequence r in rhs solving (A A^T) x = r, or None if rank(A) < 2,
+    that is if det <= _RANK_TOL * tr^2 for A A^T. The Gram entries are formed
+    once for every r, in explicit, allocation-free 2x2 arithmetic.
     """
     g11 = float(A[0] @ A[0])
     g12 = float(A[0] @ A[1])
     g22 = float(A[1] @ A[1])
     tr = g11 + g22
     det = g11 * g22 - g12 * g12
-    # Eigenvalues of the Gram matrix are the squared singular values of A.
-    disc = math.sqrt(max((g11 - g22) ** 2 + 4.0 * g12 * g12, 0.0))
-    smin = math.sqrt(max(0.5 * (tr - disc), 0.0))
-    smax = math.sqrt(max(0.5 * (tr + disc), 0.0))
-    if det <= 0.0 or smin <= 1e-8 * max(1.0, smax):
+    if det <= _RANK_TOL * tr * tr:
         return None
     return [np.array([(g22 * r[0] - g12 * r[1]) / det, (g11 * r[1] - g12 * r[0]) / det])
             for r in rhs]
@@ -109,8 +108,8 @@ def _gram_solve(A: np.ndarray, *rhs):
 
 def _gram_solve_rows(A: np.ndarray, *rhs):
     """`_gram_solve` for a stack of B views, A of shape (2, B, n) and each r of
-    shape (B, 2): (the (B,) mask of rows of rank 2, one (B, 2) x per r). The
-    x rows of a view below rank 2 are finite and meaningless.
+    shape (B, 2): (the (B,) mask of rows of rank 2 by the same rule, one (B, 2)
+    x per r). The x rows of a view below rank 2 are finite and meaningless.
 
     The entries come from batched matmuls, the forms that give the same bits
     as the BLAS dot products of the one-view solve.
@@ -121,10 +120,7 @@ def _gram_solve_rows(A: np.ndarray, *rhs):
     g22 = (a1 @ A[1][:, :, None])[:, 0, 0]
     tr = g11 + g22
     det = g11 * g22 - g12 * g12
-    disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 * g12, 0.0))
-    smin = np.sqrt(np.maximum(0.5 * (tr - disc), 0.0))
-    smax = np.sqrt(np.maximum(0.5 * (tr + disc), 0.0))
-    ok = ~((det <= 0.0) | (smin <= 1e-8 * np.maximum(1.0, smax)))
+    ok = ~(det <= _RANK_TOL * tr * tr)  # as the one-view test: a NaN det is solved
     det = np.where(ok, det, 1.0)
     return ok, [np.stack(((g22 * r[:, 0] - g12 * r[:, 1]) / det,
                           (g11 * r[:, 1] - g12 * r[:, 0]) / det), axis=1) for r in rhs]
@@ -167,16 +163,16 @@ def control_terms(speeds, headings, positions, ref, gains):
       Vdot = -(gamma/n) * sum_k <.,.>^2 along the closed loop.
     * h is the minimum-2-norm solution A^T (A A^T)^{-1} b of A h = b, from
       the 2x2 normal equations. It is 0 when rhs is None (no turn and no speed
-      change), when feedforward is off, and when the smaller singular value of
-      A is below tolerance or A A^T has no positive determinant (headings
-      aligned mod pi): such configurations are unstable equilibria the
-      closed loop escapes on its own.
+      change), when feedforward is off, and when the Gram solve refuses A as
+      below rank 2 (det <= 1e-12 tr^2 of A A^T, smin/smax under about 1e-6:
+      headings aligned mod pi, or nearly): such configurations are unstable
+      equilibria the closed loop escapes on its own.
     * u_spc_k = -(omega0 + gamma * omega0 * <r_k - b_k, v_k e^{i th_k}>) with
       the beacon b_k = r_ref + beacon_lead(v_k, gamma) * beacon_velocity
       (b_k = r_ref when beacon_velocity is None). Alone it settles each
       vehicle onto a clockwise orbit of bounded radius about the reference
       point, also while the point moves at beacon_velocity. BEACON_PROJECTED
-      mode projects it into ker(A), or leaves it where A has rank below 2.
+      mode projects it into ker(A); where the solve refuses A it stays as is.
     """
     ref_position, ref_velocity, rhs, beacon_velocity = ref[:4]
     gamma, omega0, mode = gains.gamma, gains.omega0, gains.spacing_mode

@@ -709,15 +709,19 @@ def test_cli_sweep_unplannable_network_fails_only_its_case(tmp_path, capsys, par
         "error: cannot plan the broadcast traffic: 6e+07 messages a step to 3 agents")
 
 
-def test_cli_sweep_empty_grid(tmp_path, capsys):
+def test_cli_sweep_without_params_runs_the_base_case(tmp_path, capsys):
+    # the cross product of no value lists is one case: the file as it is
     scenario = tmp_path / "base.ini"
     scenario.write_text(SMALL, encoding="utf-8")
     out = tmp_path / "sweep"
-    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out)])
+    rc = cli.main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seed", "4"])
     assert rc == 0
-    assert "0 cases" in capsys.readouterr().out
+    assert "1 cases" in capsys.readouterr().out
     header, rows = read_sweep_csv(out / "sweep.csv")
-    assert header[0] == "case" and rows == []
+    assert header[:2] == ["case", "seed"] and "controller.gamma" not in header
+    assert len(rows) == 1
+    assert (rows[0]["case"], rows[0]["seed"], rows[0]["status"]) == ("0", "4", "ok")
+    assert (out / "case_000" / "trajectory.csv").is_file()
 
 
 def test_cli_sweep_rejects_agent_params(tmp_path, capsys):

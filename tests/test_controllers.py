@@ -18,6 +18,7 @@ from oracles import (
     u_velocity_real_form,
 )
 from swarmtrack.controllers import (
+    _RANK_TOL,
     BatchGains,
     ControllerGains,
     SpacingMode,
@@ -284,8 +285,8 @@ def test_projector_rank_deficient_passthrough():
 
 
 def test_rank_one_view_with_a_zero_determinant_gets_no_solve():
-    # One vehicle: A has rank 1, yet smin, computed from the Gram eigenvalues,
-    # rounds above the 1e-8 tolerance, while the determinant rounds to 0.
+    # One vehicle: A has rank 1 and the Gram determinant rounds to 0, which the
+    # rank rule det <= _RANK_TOL * tr^2 refuses without dividing by it.
     v = view([11.91076828903408], [3.0705633383039146], np.zeros((1, 2)))
     ref = reference_signal((0, 0), 2.0, 0.3, 0.05, 0.0)
     gains = ControllerGains(0.01)
@@ -295,6 +296,67 @@ def test_rank_one_view_with_a_zero_determinant_gets_no_solve():
     batch = control_terms(*(a[None] for a in v), stack_signals([ref]), BatchGains.of([gains]))
     for row, term in zip(batch, one):
         assert row[0].tobytes() == term.tobytes()
+
+
+TURNING_REF = reference_signal((0, 0), 2.0, 0.3, 0.05, 0.0)
+
+
+def rank_one_views(rng, n, count):
+    """count views of n vehicles with headings equal mod pi, so rank(A) = 1:
+    speeds from U(1, 20), one heading per view, pi added at random."""
+    speeds = rng.uniform(1.0, 20.0, (count, n))
+    headings = (rng.uniform(-math.pi, math.pi, (count, 1))
+                + math.pi * rng.integers(0, 2, (count, n)))
+    return speeds, headings, rng.uniform(-50.0, 50.0, (count, n, 2))
+
+
+def assert_no_solve(views, ref, gamma=0.01):
+    """h = 0 and an unprojected beacon_projected term for every view, in the
+    one-view and the batch form."""
+    projected = ControllerGains(gamma, spacing_mode=SpacingMode.BEACON_PROJECTED)
+    beacon = ControllerGains(gamma, spacing_mode=SpacingMode.BEACON)
+    count = len(views[0])
+    refs = stack_signals([ref] * count)
+    batch = control_terms(*views, refs, BatchGains.of([projected] * count))
+    raw = control_terms(*views, refs, BatchGains.of([beacon] * count))[2]
+    assert batch[1].tobytes() == np.zeros(views[0].shape).tobytes()
+    assert batch[2].tobytes() == raw.tobytes()
+    for i in range(count):
+        _, h, u_spc = control_terms(*(a[i] for a in views), ref, projected)
+        assert h.tobytes() == np.zeros(len(h)).tobytes()
+        assert u_spc.tobytes() == raw[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 48, 192])
+def test_rank_one_views_get_no_solve(n):
+    assert_no_solve(rank_one_views(np.random.default_rng(n), n, 2000), TURNING_REF)
+
+
+def test_rank_rule_clears_the_rounding_floor_of_rank_one_views():
+    # det / tr^2 of a rank-1 A is rounding alone; the rule sits 1000x above it.
+    worst = 0.0
+    for n in (1, 2, 3, 12, 48, 192):
+        speeds, headings, _ = rank_one_views(np.random.default_rng(n), n, 2000)
+        for v, th in zip(speeds, headings):
+            A = np.array([-v * np.sin(th), v * np.cos(th)]) / n
+            g11, g12, g22 = float(A[0] @ A[0]), float(A[0] @ A[1]), float(A[1] @ A[1])
+            worst = max(worst, (g11 * g22 - g12 * g12) / (g11 + g22) ** 2)
+    assert 0.0 < worst <= _RANK_TOL / 1000
+
+
+def test_lone_vehicles_get_no_feedforward():
+    # A lone vehicle's A is one column: no view of 20,000 gets a solve.
+    rng = np.random.default_rng(0)
+    speeds = rng.uniform(1.0, 20.0, (20000, 1))
+    headings = rng.uniform(-math.pi, math.pi, (20000, 1))
+    assert_no_solve((speeds, headings, np.zeros((20000, 1, 2))), TURNING_REF)
+
+
+def test_near_singular_view_gets_no_solve():
+    # headings 2e-7 apart: smin / smax is about 1e-7, below the rule's 1e-6
+    views = (np.array([[10.0, 10.0]]), np.array([[0.4, 0.4 + 2e-7]]),
+             np.array([[[1.0, 2.0], [-3.0, 0.5]]]))
+    assert_no_solve(views, TURNING_REF)
 
 
 @pytest.mark.parametrize("heading, speed, gains, mode, duration", [
@@ -388,13 +450,15 @@ def test_control_terms_match_the_separate_laws(mode, feedforward, turning):
         np.testing.assert_allclose(u_spc, raw, rtol=0.0, atol=1e-12)
 
     # The same laws over a batch: this view and 9 random views, each with its
-    # own gains and reference, plus one view with aligned headings (rank(A) < 2),
-    # as one call. Every row equals its view's own call bit for bit.
+    # own gains and reference, plus one view with aligned headings and three
+    # aligned mod pi (rank(A) < 2, no solve), as one call. Every row equals its
+    # view's own call bit for bit.
     for n in (5, 48):
         views = [(speeds, headings, positions)] if n == 5 else [random_view(rng, n)]
         views += [random_view(rng, n) for _ in range(10 - len(views))]
         aligned_speeds, _, aligned_positions = random_view(rng, n)
         views.append((aligned_speeds, np.full(n, 0.7), aligned_positions))
+        views += list(zip(*rank_one_views(rng, n, 3)))
         rates = [(kappa_ref * (1 + 0.1 * i), a_ref) for i in range(len(views))]
         if turning:
             rates[3] = (0.0, 0.0)  # a row with no rhs among rows with one
@@ -410,7 +474,7 @@ def test_control_terms_match_the_separate_laws(mode, feedforward, turning):
         for i, (view_i, ref_i, gains_i) in enumerate(zip(views, refs, row_gains)):
             for row, one in zip(batch, control_terms(*view_i, ref_i, gains_i)):
                 assert row[i].tobytes() == one.tobytes()
-        assert batch[1][-1].tobytes() == np.zeros(n).tobytes()
+        assert batch[1][-4:].tobytes() == np.zeros((4, n)).tobytes()
 
 
 def test_combined_control_reduces_to_velocity_law():
