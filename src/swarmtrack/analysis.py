@@ -9,8 +9,13 @@ brute-force perturbation oracle.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,7 +313,14 @@ def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps):
     ((v_1 e^{i th_1} + v_2 e^{i th_2}) + ...) / n. For n <= 7 that is the
     order of the engine's 1-D `vc.sum()`, so the headings follow `engine.run`
     bit for bit; for n >= 8 numpy sums a 1-D array in pairwise blocks and the
-    two differ in the last bits.
+    two differ in the last bits. Each row's results are the same whatever
+    batch it runs in.
+
+    A step writes into arrays allocated once. When a step holds at least
+    FLOW_THREAD_HEADINGS headings and the process may use two CPUs, one helper
+    thread computes each step's cos half while the caller computes its sin
+    half; everything else stays on the caller, in the same order, so the bits
+    are those of the one-thread loop.
 
     Returns (V_history, final headings), C-contiguous arrays of shape
     (batch, n_steps+1) and (batch, n).
@@ -323,16 +335,93 @@ def simulate_phase_flow(speeds, ref_velocity, gamma, headings0, dt, n_steps):
                          f"headings0 of shape {rows.shape}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValueError(f"n_steps must be an int >= 0, got {n_steps!r}")
-    n = v.size
-    vcol = v[:, None]
-    th = rows.T.copy()
+    # numpy reduces an (n, 1) array as a 1-D one, in pairwise blocks from n = 8:
+    # a lone row runs as two copies, so that it is summed as it is in a batch
+    th = rows.T.repeat(2, 1) if len(rows) == 1 else rows.T.copy()
+    n, vcol = v.size, v[:, None]
     vh = np.empty((th.shape[1], n_steps + 1))
-    for i in range(n_steps + 1):
-        vc = vcol * np.cos(th)
-        vs = vcol * np.sin(th)
-        ex = vc.sum(axis=0) / n - ref[0]
-        ey = vs.sum(axis=0) / n - ref[1]
-        vh[:, i] = 0.5 * (ex * ex + ey * ey)
-        if i < n_steps:
-            th = th + dt * (-gamma * (ex * -vs + ey * vc))
-    return vh, th.T.copy()
+    vc, vs, tmp, tmp2 = (np.empty_like(th) for _ in range(4))
+    ex, ey, sq, sq2 = np.empty((4, th.shape[1]))
+
+    def cos_half():
+        np.cos(th, out=vc)
+        np.multiply(vcol, vc, out=vc)
+
+    with _helper_thread(cos_half, th.size) as (start_cos, finish_cos):
+        for i in range(n_steps + 1):
+            start_cos()
+            np.sin(th, out=vs)
+            np.multiply(vcol, vs, out=vs)
+            finish_cos()
+            np.add.reduce(vc, axis=0, out=ex)
+            np.divide(ex, n, out=ex)
+            np.subtract(ex, ref[0], out=ex)
+            np.add.reduce(vs, axis=0, out=ey)
+            np.divide(ey, n, out=ey)
+            np.subtract(ey, ref[1], out=ey)
+            np.multiply(ex, ex, out=sq)
+            np.multiply(ey, ey, out=sq2)
+            np.add(sq, sq2, out=sq)
+            np.multiply(0.5, sq, out=vh[:, i])
+            if i < n_steps:  # th + dt * (-gamma * (ex * -vs + ey * vc))
+                np.negative(vs, out=tmp)
+                np.multiply(ex, tmp, out=tmp)
+                np.multiply(ey, vc, out=tmp2)
+                np.add(tmp, tmp2, out=tmp)
+                np.multiply(-gamma, tmp, out=tmp)
+                np.multiply(dt, tmp, out=tmp)
+                np.add(th, tmp, out=th)
+    return vh[:len(rows)], th.T[:len(rows)].copy()
+
+
+# Headings a step's (n, batch) arrays must hold before `simulate_phase_flow`
+# moves its cos half to a helper thread. Each step hands off once, which costs
+# more than the trig it moves below about 3,500 headings: on a 2-vCPU host the
+# thread lost at 3,300 (92 -> 99 us a step) and won at 4,200 (129 -> 118 us).
+FLOW_THREAD_HEADINGS = 4096
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _helper_thread(work, headings: int):
+    """Yield (start, finish) for one step's `work`: start hands it off, finish
+    waits for it. A large step with two usable CPUs runs it on one helper
+    thread, meanwhile the caller does its own half; otherwise start runs it
+    inline and finish does nothing.
+
+    The helper runs in a copy of the caller's context, so under the caller's
+    `np.errstate`. An exception it raises is handed back and re-raised by
+    finish, and the helper is stopped and joined however the block ends.
+    """
+    if headings < FLOW_THREAD_HEADINGS or _usable_cpus() < 2:
+        yield work, lambda: None
+        return
+    go, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        try:
+            while go.get():
+                work()
+                done.put(None)
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            done.put(exc)
+
+    def finish():
+        exc = done.get()
+        if exc is not None:
+            raise exc
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(serve,))
+    helper.start()
+    try:
+        yield lambda: go.put(True), finish
+    finally:
+        go.put(False)
+        helper.join()

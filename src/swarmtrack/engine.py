@@ -422,6 +422,7 @@ def run_batch(configs) -> list[RunLog]:
     agent_ids = np.arange(1, n + 1, dtype=np.uint64)
     speeds, gains, u_max, amplitude, disturbed, seeds = _case_rows(configs)
     targeted = first.target is not None
+    running = None  # which cases still run, once one has stopped
 
     for m in range(steps):
         t = m * dt
@@ -501,19 +502,30 @@ def run_batch(configs) -> list[RunLog]:
 
         # A non-finite entry makes its sum non-finite; a finite sum that overflows
         # only sends the step to the exact per-case check. A stopped case stays
-        # NaN (cos and wrap_angles of inf are NaN), so it runs on unlogged.
-        if not np.isfinite(x + y + th).all():
-            finite = (np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-                      & np.isfinite(th).all(axis=1))
-            for log, ok in zip(logs, finite):
-                if not ok and log.aborted is None:
-                    _truncate_log(log, m + 1)
-                    log.aborted = f"non-finite state after step {m} (t={(m + 1) * dt:.6g} s)"
-            if all(log.aborted is not None for log in logs):
+        # NaN (cos and wrap_angles of inf are NaN), so it runs on unlogged, and
+        # from then on the check reads only the running cases' rows.
+        state = x + y + th
+        if running is not None:
+            state = state[running]
+        if not np.isfinite(state).all():
+            running = _stop_non_finite(logs, x, y, th, m, dt)
+            if not running.any():
                 break
 
     _derive_columns(rec, speeds, targeted)
     return logs
+
+
+def _stop_non_finite(logs, x, y, th, m: int, dt: float) -> np.ndarray:
+    """Stop each running case whose state is non-finite after step m: truncate
+    its log after that step and say why in `aborted`. Returns which cases
+    still run, as a boolean row mask."""
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1) & np.isfinite(th).all(axis=1)
+    for log, ok in zip(logs, finite):
+        if not ok and log.aborted is None:
+            _truncate_log(log, m + 1)
+            log.aborted = f"non-finite state after step {m} (t={(m + 1) * dt:.6g} s)"
+    return np.array([log.aborted is None for log in logs])
 
 
 # Steps per block of `_derive_columns`; it bounds the temporaries to a few MB.

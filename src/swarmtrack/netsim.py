@@ -292,6 +292,8 @@ class BroadcastNetwork:
     @property
     def pending(self) -> np.ndarray:
         """The deliveries sent and not yet applied: (arrival, sender, seq, receiver) rows."""
+        if self.config.delay == self.config.jitter == 0.0:  # each delivery applies as it is sent
+            return np.empty(0, dtype=_IN_FLIGHT)
         m = self._step
         r0, r1 = self._due.searchsorted([m + 1, m + 1 + self._lag])
         # the messages sent so far are those before the next step's first

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lyapunov_V, tracking_metrics
+from swarmtrack import analysis
 from swarmtrack.analysis import (
     EquilibriumClass,
     EquilibriumRejected,
@@ -403,6 +406,126 @@ def test_phase_flow_zero_steps_and_numpy_int_steps():
     np.testing.assert_array_equal(V[:, 0], headings_V([1.0, 2.0], th0, (1.0, 0.0)))
     V8, _ = simulate_phase_flow([1.0, 2.0], (1.0, 0.0), 0.1, th0, 0.05, np.int64(8))
     assert V8.shape == (2, 9)
+
+
+# --------------------------------------------------------------------------
+# the phase flow on two cores
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Let the flow take its helper thread on any host; returns the threads it starts."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(analysis, "threading", SimpleNamespace(Thread=Recorded))
+    return started
+
+
+def _large_flow(n, seed):
+    """Speeds and a batch of headings just large enough for the helper thread."""
+    rng = np.random.default_rng(seed)
+    rows = -(-analysis.FLOW_THREAD_HEADINGS // n)
+    return rng.uniform(10.0, 16.0, n), rng.uniform(-math.pi, math.pi, (rows, n))
+
+
+def _inline_flow(monkeypatch, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_usable_cpus", lambda: 1)
+        return simulate_phase_flow(*args)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 50])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_two_core_flow_equals_the_inline_flow(two_cores, monkeypatch, n, n_steps):
+    speeds, th0 = _large_flow(n, seed=n)
+    threads = threading.active_count()
+    V, th = simulate_phase_flow(speeds, (1.5, 0.5), 0.05, th0, 0.05, n_steps)
+    assert threading.active_count() == threads
+    assert len(two_cores) == 1 and not two_cores[0].is_alive()
+    V1, th1 = _inline_flow(monkeypatch, speeds, (1.5, 0.5), 0.05, th0, 0.05, n_steps)
+    assert V.tobytes() == V1.tobytes() and th.tobytes() == th1.tobytes()
+    for r in (0, 1, len(th0) // 2, len(th0) - 1):  # a row alone stays below the threshold
+        Vr, thr = simulate_phase_flow(speeds, (1.5, 0.5), 0.05, th0[r], 0.05, n_steps)
+        assert Vr[0].tobytes() == V[r].tobytes() and thr[0].tobytes() == th[r].tobytes()
+    assert len(two_cores) == 1
+
+
+def test_small_flow_starts_no_thread(two_cores):
+    speeds, th0 = _large_flow(3, seed=1)
+    simulate_phase_flow(speeds, (1.5, 0.5), 0.05, th0[:-1], 0.05, 5)
+    assert two_cores == []
+
+
+def test_two_core_flow_raises_in_the_caller(two_cores):
+    speeds, th0 = _large_flow(3, seed=2)
+    th0[7, 1] = math.inf
+    threads = threading.active_count()
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        simulate_phase_flow(speeds, (1.5, 0.5), 0.05, th0, 0.05, 3)
+    assert threading.active_count() == threads
+    assert len(two_cores) == 1 and not two_cores[0].is_alive()
+
+
+def test_two_core_flow_gives_the_inline_nan_rows(two_cores, monkeypatch):
+    speeds, th0 = _large_flow(3, seed=3)
+    th0[7, 1] = math.inf
+    threads = threading.active_count()
+    with np.errstate(all="ignore"):
+        V, th = simulate_phase_flow(speeds, (1.5, 0.5), 0.05, th0, 0.05, 3)
+        V1, th1 = _inline_flow(monkeypatch, speeds, (1.5, 0.5), 0.05, th0, 0.05, 3)
+        V7, th7 = simulate_phase_flow(speeds, (1.5, 0.5), 0.05, th0[7], 0.05, 3)
+    assert threading.active_count() == threads and len(two_cores) == 1
+    assert np.isnan(V[7]).all() and np.isnan(th[7]).all() and np.isfinite(np.delete(V, 7, 0)).all()
+    assert V.tobytes() == V1.tobytes() and th.tobytes() == th1.tobytes()
+    assert V7[0].tobytes() == V[7].tobytes() and th7[0].tobytes() == th[7].tobytes()
+
+
+def test_helper_runs_under_the_callers_errstate(two_cores):
+    seen = []
+    with np.errstate(invalid="raise", over="ignore"):
+        with analysis._helper_thread(lambda: seen.append(np.geterr()),
+                                     analysis.FLOW_THREAD_HEADINGS) as (start, finish):
+            start()
+            finish()
+        assert seen == [np.geterr()]
+    assert len(two_cores) == 1 and not two_cores[0].is_alive()
+
+
+def test_helper_failure_reaches_the_caller_and_the_helper_is_joined(two_cores):
+    def work():
+        raise UnboundLocalError("the helper's failure")
+
+    def helper_fails():
+        with analysis._helper_thread(work, analysis.FLOW_THREAD_HEADINGS) as (start, finish):
+            start()
+            finish()
+
+    def caller_fails():  # with the helper's step still running
+        with analysis._helper_thread(lambda: None, analysis.FLOW_THREAD_HEADINGS) as (start, finish):
+            start()
+            raise KeyError("the caller's failure")
+
+    for call, error in ((helper_fails, UnboundLocalError), (caller_fails, KeyError)):
+        raised = []
+
+        def attempt():
+            try:
+                call()
+            except error as exc:
+                raised.append(exc)
+
+        # a helper that died unheard would leave its caller waiting forever
+        runner = threading.Thread(target=attempt, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive() and len(raised) == 1
+    assert len(two_cores) == 2 and not any(t.is_alive() for t in two_cores)
 
 
 # --------------------------------------------------------------------------

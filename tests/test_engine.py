@@ -569,6 +569,23 @@ def test_every_batched_case_equals_its_own_run():
     ]
 
 
+def test_the_exact_finiteness_check_runs_once_per_stop(monkeypatch):
+    steps = []
+    stop = engine._stop_non_finite
+    monkeypatch.setattr(engine, "_stop_non_finite", lambda *a: steps.append(a[4]) or stop(*a))
+    live = [dataclasses.replace(batch_groups()[0][0], seed=seed) for seed in range(8)]
+    overflows = ControllerGains(gamma=1e308, spacing_mode=SpacingMode.BEACON)  # in step 0
+    with np.errstate(all="ignore"):
+        logs = engine.run_batch(live[:7] + [dataclasses.replace(live[7], gains=overflows)])
+        # after a stop the one-line check reads only the running cases' rows
+        assert steps == [0]
+        assert [log.rows for log in logs] == [live[0].steps] * 7 + [1]
+        steps.clear()
+        engine.run_batch(batch_groups()[0])
+        engine.run_batch(batch_groups()[4])
+    assert steps == [88, 0, 88]
+
+
 def test_run_raises_the_batch_of_one_abort():
     config = dataclasses.replace(basic_config(gains=BLOWS_UP), duration=2.0, **TRACKING)
     with np.errstate(all="ignore"):

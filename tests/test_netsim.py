@@ -543,6 +543,25 @@ def test_deliveries_carry_across_plan_windows(monkeypatch, target):
     assert net._window == 1 and net.stats.delivered > 0
 
 
+def test_undelayed_network_has_nothing_in_flight():
+    # without delay or jitter every delivery applies in the step that sends it,
+    # sources above 1/dt included
+    n, dt, steps = 6, 0.02, 40
+    config = NetworkConfig(agent_rate=30.0, target_rate=2.5 / dt, loss_probability=0.3)
+    net, ref = (cls(config, n, 5, dt, steps) for cls in (BroadcastNetwork, ScalarNetwork))
+    rng = np.random.default_rng(5)
+    for m in range(steps):
+        pos, vel = rng.uniform(-50, 50, (n, 2)), rng.uniform(-5, 5, (n, 2))
+        target = rng.uniform(-50, 50, 2), rng.uniform(-5, 5, 2)
+        for network in (net, ref):
+            if m == 0:
+                network.initialize(pos, vel, *target)
+            else:
+                network.advance(m * dt, pos, vel, *target)
+        assert len(net.pending) == 0 and net.pending.tolist() == ref.pending == []
+    assert net.stats == ref.stats and net.stats.delivered > 0
+
+
 @pytest.mark.parametrize("n", [1, 10])
 @pytest.mark.parametrize("delay", [0.0, 0.03])
 def test_one_senders_messages_tie_at_one_receiver(n, delay):
